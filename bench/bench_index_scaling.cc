@@ -377,9 +377,9 @@ int RunAll(const std::string& out_path) {
       " for " + std::to_string(kNumQueries) +
       " anonymized users: dense similarity matrix vs candidate index vs"
       " sharded scatter-gather, all three bitwise-identical (see"
-      " tests/index and tests/shard). Exact-mode index queries take the"
-      " dense-scan crossover when posting volume is high; shard-slice"
-      " rows show the per-backend RSS of an N-shard fleet\",\n"
+      " tests/index and tests/shard). Every index query is one batched"
+      " row scan into a K-heap; shard-slice rows show the per-backend RSS"
+      " of an N-shard fleet\",\n"
       "  \"config\": {\"num_queries\": " + std::to_string(kNumQueries) +
       ", \"top_k\": " + std::to_string(kTopK) +
       ", \"forum_seed\": " + std::to_string(kForumSeed) +

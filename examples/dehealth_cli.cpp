@@ -9,7 +9,6 @@
 //                         --k 10 --engine structural --learner smo
 //                         --threads 0 [--idf]
 //                         [--index] [--index-path idx.dhix]
-//                         [--max-candidates N]
 //                         [--job-dir dir] [--shard-size N]
 //                         [--truth truth.csv] [--out predictions.csv]
 //                         [--trace-out trace.json] [--metrics-out m.prom]
@@ -50,6 +49,7 @@
 #include <chrono>
 
 #include "common/fault_injection.h"
+#include "common/flag_catalog.h"
 #include "common/flags.h"
 #include "common/shutdown.h"
 #include "core/de_health.h"
@@ -291,9 +291,9 @@ int CmdEvaluate(const Args& args) {
   auto config_or = ParseAttackFlags(args);
   if (!config_or.ok()) return Fail(config_or.status().ToString());
   DeHealthConfig config = *config_or;
-  if (config.use_index || config.index_max_candidates > 0)
+  if (config.use_index)
     return Fail("evaluate compares engines on exact full rankings; "
-                "--index/--index-path/--max-candidates do not apply");
+                "--index/--index-path do not apply");
   if (config.shard_count > 1)
     return Fail("evaluate needs the full auxiliary universe; "
                 "--shard-count does not apply (use --shards for "
@@ -446,6 +446,8 @@ int main(int argc, char** argv) {
   }
   const std::string command = argv[1];
   const Args args(argc, argv, 2, AttackBooleanFlags());
+  if (Status st = args.CheckKnown(CatalogFlagNames()); !st.ok())
+    return Fail(st.ToString());
   // Deterministic fault injection (tests only): "<site>:<kind>:<hit>,..."
   // — see src/common/fault_injection.h for the grammar.
   const std::string fault_spec = args.Get("fault-spec");

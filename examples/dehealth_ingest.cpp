@@ -267,6 +267,8 @@ int main(int argc, char** argv) {
   }
   const std::string command = argv[1];
   const FlagParser flags(argc, argv, 2, AttackBooleanFlags());
+  if (Status st = flags.CheckKnown(CatalogFlagNames()); !st.ok())
+    return Fail(st.ToString());
 
   const std::string fault_spec = flags.Get("fault-spec");
   if (!fault_spec.empty()) {

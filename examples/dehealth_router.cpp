@@ -46,6 +46,7 @@
 #include <thread>
 
 #include "common/fault_injection.h"
+#include "common/flag_catalog.h"
 #include "common/flags.h"
 #include "common/shutdown.h"
 #include "io/file_util.h"
@@ -67,6 +68,8 @@ int Fail(const std::string& message) {
 
 int main(int argc, char** argv) {
   const FlagParser flags(argc, argv, 1, AttackBooleanFlags());
+  if (Status st = flags.CheckKnown(CatalogFlagNames()); !st.ok())
+    return Fail(st.ToString());
 
   const std::string backend_spec = flags.Get("backends");
   if (backend_spec.empty())

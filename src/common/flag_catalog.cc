@@ -75,9 +75,6 @@ const std::vector<FlagDoc>& FlagCatalog() {
        "rank-CDF curve (default 1,2,5,10,20,50)"},
       {"learner", "cli attack, serve", false,
        "Phase-2 learner: smo (default), knn, rlsc, centroid"},
-      {"max-candidates", "cli attack, serve", false,
-       "Per-query exact-evaluation budget of the indexed path (0 = exact, "
-       "the default)"},
       {"metrics-out", "cli attack", false,
        "Write the run's metrics registry to this file (Prometheus text "
        "format)"},
@@ -161,6 +158,12 @@ std::set<std::string> AttackBooleanFlags() {
   for (const FlagDoc& doc : FlagCatalog())
     if (doc.boolean) flags.insert(doc.name);
   return flags;
+}
+
+std::set<std::string> CatalogFlagNames() {
+  std::set<std::string> names;
+  for (const FlagDoc& doc : FlagCatalog()) names.insert(doc.name);
+  return names;
 }
 
 }  // namespace dehealth

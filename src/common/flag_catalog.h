@@ -37,6 +37,11 @@ const std::vector<FlagDoc>& FlagCatalog();
 /// flags are simply never looked up.)
 std::set<std::string> AttackBooleanFlags();
 
+/// Every flag name of the catalog — what dehealth_cli and dehealth_serve
+/// hand to FlagParser::CheckKnown, so a retired or misspelt flag exits 1
+/// instead of being silently ignored.
+std::set<std::string> CatalogFlagNames();
+
 }  // namespace dehealth
 
 #endif  // DEHEALTH_COMMON_FLAG_CATALOG_H_

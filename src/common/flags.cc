@@ -56,4 +56,13 @@ bool FlagParser::Has(const std::string& flag) const {
   return flags_.count(flag) > 0;
 }
 
+Status FlagParser::CheckKnown(const std::set<std::string>& known) const {
+  std::set<std::string> passed = flags_;
+  for (const auto& [name, value] : values_) passed.insert(name);
+  for (const std::string& name : passed)
+    if (known.count(name) == 0)
+      return Status::InvalidArgument("unknown flag --" + name);
+  return Status::OK();
+}
+
 }  // namespace dehealth

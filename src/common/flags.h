@@ -33,6 +33,10 @@ class FlagParser {
   /// True when the boolean flag "--flag" was passed.
   bool Has(const std::string& flag) const;
 
+  /// InvalidArgument "unknown flag --name" for the first passed flag (in
+  /// name order) that `known` does not list.
+  Status CheckKnown(const std::set<std::string>& known) const;
+
  private:
   std::map<std::string, std::string> values_;
   std::set<std::string> flags_;

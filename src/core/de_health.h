@@ -58,11 +58,6 @@ struct DeHealthConfig {
   /// When non-empty, the index is loaded from this snapshot file if it
   /// matches the auxiliary side + config (and rebuilt + saved otherwise).
   std::string index_snapshot_path;
-  /// Recall knob: when > 0, the index only *evaluates* at most this many
-  /// exact scores per anonymized user (best-first by upper bound) — faster,
-  /// but Top-K results may lose recall and are no longer guaranteed
-  /// identical to dense. 0 = exact (the default).
-  int index_max_candidates = 0;
 
   /// In-process horizontal sharding (src/shard/): when > 1, the auxiliary
   /// universe is partitioned into this many contiguous-id-range shards,

@@ -347,30 +347,4 @@ void FeatureStore::ScoreRow(const SimilarityConfig& config,
   }
 }
 
-double FeatureStore::ScoreOne(const SimilarityConfig& config,
-                              const ScoreQuery& q, int v) const {
-  const int b = v / kBlockWidth;
-  const int lane = v % kBlockWidth;
-  const auto sv = static_cast<size_t>(v);
-  const double degree_sim =
-      (MinMaxRatio(q.degree, degree_[sv]) +
-       MinMaxRatio(q.weighted_degree, weighted_degree_[sv])) +
-      CosineLane(q.ncs->data(), static_cast<int>(q.ncs->size()), q.ncs_norm,
-                 ncs_.data() + ncs_offset_[static_cast<size_t>(b)],
-                 ncs_stride_[static_cast<size_t>(b)], ncs_norm_[sv], lane);
-  const double distance_sim =
-      CosineLane(q.hop->data(), static_cast<int>(q.hop->size()), q.hop_norm,
-                 hop_.data() + static_cast<size_t>(b) * kBlockWidth *
-                                   static_cast<size_t>(hop_stride_),
-                 hop_stride_, hop_norm_[sv], lane) +
-      CosineLane(q.weighted_hop->data(),
-                 static_cast<int>(q.weighted_hop->size()), q.whop_norm,
-                 whop_.data() + static_cast<size_t>(b) * kBlockWidth *
-                                    static_cast<size_t>(whop_stride_),
-                 whop_stride_, whop_norm_[sv], lane);
-  const double attr_sim = AttrSimilarity(q, v);
-  return (config.c1 * degree_sim + config.c2 * distance_sim) +
-         config.c3 * attr_sim;
-}
-
 }  // namespace dehealth

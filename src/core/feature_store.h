@@ -53,7 +53,7 @@ struct ScoreQuery {
 ///    offset array) with per-user totals for the exact-integer union
 ///    shortcut.
 ///
-/// Scores from ScoreRow/ScoreOne are bitwise-identical to
+/// Scores from ScoreRow are bitwise-identical to
 /// CombinedStructuralScore on the original features for every SimdMode —
 /// the equivalence suite in tests/core/feature_store_test.cc holds each
 /// tier to that, and DESIGN.md "Score kernel" gives the argument.
@@ -77,7 +77,7 @@ class FeatureStore {
   bool attrs_exact() const { return attrs_exact_; }
   int max_attribute_id() const { return max_attr_id_; }
 
-  /// Precomputes the per-query state for ScoreRow/ScoreOne. `query`'s
+  /// Precomputes the per-query state for ScoreRow. `query`'s
   /// vectors must outlive the returned ScoreQuery.
   ScoreQuery MakeQuery(const UserFeatureView& query) const;
 
@@ -86,12 +86,6 @@ class FeatureStore {
   /// core_simd_kernel gauge and the score-block-size histogram.
   void ScoreRow(const SimilarityConfig& config, const ScoreQuery& query,
                 double* out) const;
-
-  /// Scores `query` against one stored user (scalar, but with the same
-  /// per-query precomputation as ScoreRow — this is what the index's
-  /// best-first retrieval calls per surviving candidate).
-  double ScoreOne(const SimilarityConfig& config, const ScoreQuery& query,
-                  int v) const;
 
  private:
   int num_users_ = 0;

@@ -7,11 +7,9 @@ namespace dehealth {
 
 IndexedCandidateSource::IndexedCandidateSource(const UdaGraph& anonymized,
                                                const CandidateIndex& index,
-                                               int num_threads,
-                                               int max_candidates)
+                                               int num_threads)
     : index_(&index),
-      queries_(index.ComputeQueryFeatures(anonymized, num_threads)),
-      max_candidates_(max_candidates) {}
+      queries_(index.ComputeQueryFeatures(anonymized, num_threads)) {}
 
 int IndexedCandidateSource::num_anonymized() const {
   return static_cast<int>(queries_.size());
@@ -44,8 +42,8 @@ StatusOr<CandidateSets> IndexedCandidateSource::TopK(int k,
   ParallelFor(
       0, static_cast<int64_t>(queries_.size()),
       [&](int64_t u) {
-        result[static_cast<size_t>(u)] = index_->TopKForQuery(
-            queries_[static_cast<size_t>(u)], k, max_candidates_);
+        result[static_cast<size_t>(u)] =
+            index_->TopKForQuery(queries_[static_cast<size_t>(u)], k);
       },
       num_threads);
   return result;
@@ -68,8 +66,7 @@ StatusOr<CandidateSets> IndexedCandidateSource::TopKForUsers(
       0, static_cast<int64_t>(users.size()),
       [&](int64_t i) {
         result[static_cast<size_t>(i)] = index_->TopKForQuery(
-            queries_[static_cast<size_t>(users[static_cast<size_t>(i)])], k,
-            max_candidates_);
+            queries_[static_cast<size_t>(users[static_cast<size_t>(i)])], k);
       },
       num_threads);
   return result;

@@ -15,13 +15,10 @@ namespace dehealth {
 /// Score/Row/TopK call is matrix-free. The index must outlive this object.
 class IndexedCandidateSource final : public CandidateSource {
  public:
-  /// `max_candidates > 0` caps exact score evaluations per Top-K query
-  /// (recall knob, see CandidateIndex::TopKForQuery); 0 keeps the exact
-  /// dense-equivalence guarantee. `num_threads` only affects construction
-  /// speed (landmark precomputation), never results.
+  /// `num_threads` only affects construction speed (landmark
+  /// precomputation), never results.
   IndexedCandidateSource(const UdaGraph& anonymized,
-                         const CandidateIndex& index, int num_threads = 0,
-                         int max_candidates = 0);
+                         const CandidateIndex& index, int num_threads = 0);
 
   int num_anonymized() const override;
   int num_auxiliary() const override;
@@ -30,19 +27,17 @@ class IndexedCandidateSource final : public CandidateSource {
                                  std::vector<double>* scratch) const override;
 
   /// Bitwise-identical to SelectTopKCandidates(kDirect) on the dense
-  /// matrix when max_candidates == 0; row-parallel with
-  /// thread-count-independent output.
+  /// matrix; row-parallel with thread-count-independent output.
   StatusOr<CandidateSets> TopK(int k, int num_threads) const override;
 
-  /// Per-user best-first retrieval (TopKForQuery) instead of the base
-  /// class's full-row scan — the sublinear path the query service rides.
+  /// Per-user CandidateIndex::TopKForQuery (row scan into a bounded heap)
+  /// instead of the base class's row copy plus full sort.
   StatusOr<CandidateSets> TopKForUsers(const std::vector<int>& users, int k,
                                        int num_threads) const override;
 
  private:
   const CandidateIndex* index_;
   std::vector<IndexedUserFeatures> queries_;
-  int max_candidates_;
 };
 
 }  // namespace dehealth

@@ -60,9 +60,8 @@ StatusOr<std::unique_ptr<AttackScoreSource>> BuildAttackScoreSource(
 ///     loads it from config.index_snapshot_path when the snapshot matches
 ///     the auxiliary side + config, persisting a rebuilt one otherwise)
 ///     and runs phases 1b-2 through it. Scores, candidate sets, filtering
-///     and refined-DA predictions are bitwise-identical to the dense path
-///     when index_max_candidates == 0; DeHealthResult::similarity stays
-///     empty (the matrix is never formed).
+///     and refined-DA predictions are bitwise-identical to the dense path;
+///     DeHealthResult::similarity stays empty (the matrix is never formed).
 /// config.job_dir is ignored here — use RunDeHealthAttackJob
 /// (src/job/runner.h) for the checkpointed variant.
 StatusOr<DeHealthResult> RunDeHealthAttack(const UdaGraph& anonymized,

@@ -43,7 +43,9 @@ const MetricDef kIndexExactEvals = {
     "index", "Candidates exactly scored by indexed Top-K search"};
 const MetricDef kIndexBoundPruned = {
     "dehealth_index_bound_pruned_total", MetricType::kCounter, "candidates",
-    "index", "Candidates skipped by the index upper-bound prune"};
+    "index",
+    "Always 0: the bound-pruned index search was removed (kept registered "
+    "for readers of the counter)"};
 const MetricDef kIndexSnapshotLoads = {
     "dehealth_index_snapshot_loads_total", MetricType::kCounter, "1", "index",
     "DHIX snapshots loaded from disk instead of rebuilt"};
@@ -55,8 +57,8 @@ const MetricDef kIndexDenseFallbacks = {
     "index", "Indexed runs degraded to the dense Top-K path"};
 const MetricDef kIndexDenseScans = {
     "dehealth_index_dense_scans_total", MetricType::kCounter, "1", "index",
-    "Top-K queries answered by the dense-scan crossover (batched row "
-    "kernel instead of best-first pruning)"};
+    "Top-K queries answered by one batched row scan (every indexed "
+    "Top-K; equals dehealth_index_topk_queries_total)"};
 
 // ---- shard ----
 const MetricDef kShardScatterRpcs = {

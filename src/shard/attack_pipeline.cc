@@ -11,7 +11,6 @@
 #include "index/indexed_source.h"
 #include "index/snapshot.h"
 #include "obs/standard_metrics.h"
-#include "shard/matrix_sharded_source.h"
 #include "shard/partition.h"
 #include "shard/shard_index.h"
 #include "shard/sharded_source.h"
@@ -60,17 +59,15 @@ StatusOr<std::unique_ptr<AttackScoreSource>> BuildAttackScoreSource(
   if (config.engine != EngineKind::kStructural) {
     // Matrix-backed engines (--engine=blind|community, src/engines/): the
     // score matrix is built once over the FULL universe, then served
-    // dense, scatter-gathered (--shards N, candidate selection only), or
-    // column-sliced (--shard-count fleet mode) — all bitwise-identical
-    // rankings by the shard-merge argument (DESIGN.md "Sharding"). The
+    // dense or column-sliced (--shard-count fleet mode). --shards N ranks
+    // the same rows a sharded scatter-gather would merge, so the dense
+    // source already gives its bitwise answers (DESIGN.md "Sharding"). The
     // candidate index is a structural-kernel artifact, so the index knobs
     // are meaningless here and fail fast instead of silently degrading.
-    if (config.use_index || !config.index_snapshot_path.empty() ||
-        config.index_max_candidates > 0)
+    if (config.use_index || !config.index_snapshot_path.empty())
       return Status::InvalidArgument(
-          std::string("BuildAttackScoreSource: --index/--index-path/"
-                      "--max-candidates only apply to the structural "
-                      "engine, not --engine=") +
+          std::string("BuildAttackScoreSource: --index/--index-path only "
+                      "apply to the structural engine, not --engine=") +
           EngineKindName(config.engine));
     StatusOr<std::vector<std::vector<double>>> matrix =
         BuildEngineMatrix(anonymized, auxiliary, config);
@@ -92,12 +89,8 @@ StatusOr<std::unique_ptr<AttackScoreSource>> BuildAttackScoreSource(
       return bundle;
     }
     bundle->similarity = std::move(matrix).value();
-    if (config.num_shards > 1)
-      bundle->source = std::make_unique<MatrixShardedSource>(
-          bundle->similarity, config.num_shards);
-    else
-      bundle->source =
-          std::make_unique<DenseCandidateSource>(bundle->similarity);
+    bundle->source =
+        std::make_unique<DenseCandidateSource>(bundle->similarity);
     return bundle;
   }
 
@@ -117,8 +110,7 @@ StatusOr<std::unique_ptr<AttackScoreSource>> BuildAttackScoreSource(
           std::make_unique<CandidateIndex>(std::move(index).value());
       bundle->index->set_simd_mode(sim_config.simd);
       bundle->source = std::make_unique<IndexedCandidateSource>(
-          anonymized, *bundle->index, config.num_threads,
-          config.index_max_candidates);
+          anonymized, *bundle->index, config.num_threads);
       return bundle;
     }
     // Dense-slice fallback: compute the full matrix and keep only this
@@ -144,8 +136,7 @@ StatusOr<std::unique_ptr<AttackScoreSource>> BuildAttackScoreSource(
         config.index_snapshot_path, auxiliary, sim_config, config.num_shards);
     if (shards.ok()) {
       bundle->source = std::make_unique<ShardedCandidateSource>(
-          anonymized, std::move(shards).value(), config.num_threads,
-          config.index_max_candidates);
+          anonymized, std::move(shards).value(), config.num_threads);
       return bundle;
     }
     WarnDenseFallback(shards.status());
@@ -160,15 +151,12 @@ StatusOr<std::unique_ptr<AttackScoreSource>> BuildAttackScoreSource(
       // choice is a per-run knob, never part of the persisted index.
       bundle->index->set_simd_mode(sim_config.simd);
       bundle->source = std::make_unique<IndexedCandidateSource>(
-          anonymized, *bundle->index, config.num_threads,
-          config.index_max_candidates);
+          anonymized, *bundle->index, config.num_threads);
       return bundle;
     }
     // Graceful degradation: an index that cannot be loaded, built, or
     // persisted is a performance feature failing, not a correctness one —
     // warn and continue on the dense path instead of failing the attack.
-    // (With index_max_candidates > 0 the dense path is the exact variant
-    // of the recall-bounded answers the index would have given.)
     WarnDenseFallback(index.status());
     bundle->degraded_to_dense = true;
   }

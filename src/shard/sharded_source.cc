@@ -12,8 +12,8 @@ namespace dehealth {
 
 ShardedCandidateSource::ShardedCandidateSource(
     const UdaGraph& anonymized, std::vector<CandidateIndex> shards,
-    int num_threads, int max_candidates)
-    : shards_(std::move(shards)), max_candidates_(max_candidates) {
+    int num_threads)
+    : shards_(std::move(shards)) {
   assert(!shards_.empty() && "ShardedCandidateSource needs >= 1 shard");
   ranges_.reserve(shards_.size());
   for (const CandidateIndex& shard : shards_) {
@@ -68,8 +68,7 @@ std::vector<ScoredUser> ShardedCandidateSource::MergedTopKForQuery(
     size_t query, int k) const {
   std::vector<std::vector<ScoredUser>> per_shard(shards_.size());
   for (size_t s = 0; s < shards_.size(); ++s) {
-    per_shard[s] =
-        shards_[s].TopKScoredForQuery(queries_[query], k, max_candidates_);
+    per_shard[s] = shards_[s].TopKScoredForQuery(queries_[query], k);
     for (ScoredUser& c : per_shard[s]) c.user += ranges_[s].begin;
   }
   return MergeScoredTopK(per_shard, k);

@@ -23,13 +23,10 @@ class ShardedCandidateSource final : public CandidateSource {
   /// partitioning [0, universe) in order — exactly what BuildShardIndexes
   /// returns. Construction computes the anonymized-side query features
   /// ONCE (all shards share the idf table and landmark count, so the
-  /// features are shard-independent). `max_candidates` is the per-SHARD
-  /// evaluation cap (recall knob): each shard evaluates at most that many
-  /// candidates, so a capped sharded run can evaluate more total
-  /// candidates than a capped single-index run.
+  /// features are shard-independent).
   ShardedCandidateSource(const UdaGraph& anonymized,
                          std::vector<CandidateIndex> shards,
-                         int num_threads = 0, int max_candidates = 0);
+                         int num_threads = 0);
 
   int num_anonymized() const override;
   int num_auxiliary() const override;
@@ -53,7 +50,6 @@ class ShardedCandidateSource final : public CandidateSource {
   std::vector<ShardRange> ranges_;
   std::vector<IndexedUserFeatures> queries_;
   int num_auxiliary_ = 0;
-  int max_candidates_;
 };
 
 }  // namespace dehealth

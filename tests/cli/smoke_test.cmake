@@ -101,6 +101,9 @@ run_cli(1 attack --anonymized "${WORK_DIR}/anon.jsonl"
         --auxiliary "${WORK_DIR}/aux.jsonl" --k 5nonsense)
 run_cli(1 attack --anonymized "${WORK_DIR}/anon.jsonl"
         --auxiliary "${WORK_DIR}/aux.jsonl" --max-candidates -1)
+if(NOT RUN_ERR MATCHES "unknown flag --max-candidates")
+  message(FATAL_ERROR "retired --max-candidates not rejected: ${RUN_ERR}")
+endif()
 # Graceful degradation: an unusable index snapshot path must not take the
 # attack down — it warns and falls back to the dense similarity path, and
 # the answers are identical to the exact indexed run above.

@@ -64,5 +64,14 @@ TEST(FlagParserTest, BooleanFlagsTakeNoValue) {
   EXPECT_EQ(*k, 3);
 }
 
+TEST(FlagParserTest, CheckKnownRejectsUnlistedFlags) {
+  FlagParser flags = Parse({"--idf", "--k", "3"}, 0, {"idf"});
+  EXPECT_TRUE(flags.CheckKnown({"idf", "k", "threads"}).ok());
+  const Status unknown = flags.CheckKnown({"k"});
+  EXPECT_EQ(unknown.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(unknown.message().find("unknown flag --idf"), std::string::npos);
+  EXPECT_FALSE(Parse({"--max-candidates", "4"}).CheckKnown({"k"}).ok());
+}
+
 }  // namespace
 }  // namespace dehealth

@@ -58,8 +58,8 @@ UserFeatureView ViewOf(const FakeUser& u) {
          << std::bit_cast<uint64_t>(actual) << std::dec << ")";
 }
 
-/// Asserts ScoreRow and ScoreOne reproduce the golden kernel bitwise for
-/// every SIMD tier.
+/// Asserts ScoreRow reproduces the golden kernel bitwise for every SIMD
+/// tier.
 void ExpectStoreMatchesGolden(const std::vector<FakeUser>& queries,
                               const std::vector<FakeUser>& candidates,
                               const SimilarityConfig& base_config) {
@@ -84,13 +84,8 @@ void ExpectStoreMatchesGolden(const std::vector<FakeUser>& queries,
       config.simd = mode;
       std::vector<double> row(candidates.size(), -1.0);
       store.ScoreRow(config, q, row.data());
-      for (size_t v = 0; v < candidates.size(); ++v) {
+      for (size_t v = 0; v < candidates.size(); ++v)
         EXPECT_TRUE(BitsEqual(golden[v], row[v])) << "candidate " << v;
-        EXPECT_TRUE(
-            BitsEqual(golden[v],
-                      store.ScoreOne(config, q, static_cast<int>(v))))
-            << "ScoreOne candidate " << v;
-      }
     }
   }
 }

@@ -10,7 +10,6 @@
 //   - empty and singleton universes handled without faults.
 
 #include <cmath>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -20,22 +19,10 @@
 #include "datagen/split.h"
 #include "index/pipeline.h"
 #include "job/runner.h"
+#include "test_util/scratch_path.h"
 
 namespace dehealth {
 namespace {
-
-/// RAII scratch directory under /tmp, removed recursively on destruction.
-class TempDir {
- public:
-  explicit TempDir(const std::string& name) : path_("/tmp/" + name) {
-    std::filesystem::remove_all(path_);
-  }
-  ~TempDir() { std::filesystem::remove_all(path_); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 DeHealthConfig EngineConfig(EngineKind engine, int num_threads = 1,
                             int num_shards = 1) {
@@ -140,7 +127,7 @@ TEST_P(EngineConformanceTest, CheckpointedJobEqualsOneShotAndResumes) {
   auto golden = RunDeHealthAttack(*anon_, *aux_, EngineConfig(GetParam()));
   ASSERT_TRUE(golden.ok());
 
-  TempDir dir("dehealth_engine_conformance_job");
+  ScratchDir dir;
   DeHealthConfig job_config = EngineConfig(GetParam());
   job_config.job_dir = dir.path();
   job_config.job_shard_size = 3;
@@ -158,7 +145,7 @@ TEST_P(EngineConformanceTest, CheckpointedJobEqualsOneShotAndResumes) {
 }
 
 TEST_P(EngineConformanceTest, JobDirOfAnotherEngineFailsClosed) {
-  TempDir dir("dehealth_engine_conformance_cross");
+  ScratchDir dir;
   DeHealthConfig job_config = EngineConfig(GetParam());
   job_config.job_dir = dir.path();
   ASSERT_TRUE(RunDeHealthAttackJob(*anon_, *aux_, job_config).ok());
@@ -180,7 +167,7 @@ TEST_P(EngineConformanceTest, EngineSeedIsPartOfTheJobFingerprint) {
   // engine_seed shapes non-structural results, so two seeds must never
   // share a job directory; for structural it is inert and must NOT
   // invalidate pre-engine directories (the fingerprint ignores it).
-  TempDir dir("dehealth_engine_conformance_seed");
+  ScratchDir dir;
   DeHealthConfig job_config = EngineConfig(GetParam());
   job_config.job_dir = dir.path();
   ASSERT_TRUE(RunDeHealthAttackJob(*anon_, *aux_, job_config).ok());

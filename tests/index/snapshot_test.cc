@@ -15,22 +15,10 @@
 #include "index/indexed_source.h"
 #include "index/snapshot.h"
 #include "io/file_util.h"
+#include "test_util/scratch_path.h"
 
 namespace dehealth {
 namespace {
-
-/// RAII temp path under /tmp, removed on destruction.
-class TempFile {
- public:
-  explicit TempFile(const std::string& name) : path_("/tmp/" + name) {
-    std::remove(path_.c_str());
-  }
-  ~TempFile() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 struct Scenario {
   UdaGraph anonymized;
@@ -60,7 +48,7 @@ CandidateIndex BuildIndex(const Scenario& s, bool idf) {
 TEST(IndexSnapshotTest, RoundTripPreservesDataAndAnswers) {
   const Scenario s = MakeScenario(40, 17);
   const CandidateIndex original = BuildIndex(s, /*idf=*/true);
-  TempFile file("dehealth_index_roundtrip.dhix");
+  ScratchFile file("dehealth_index_roundtrip.dhix");
   ASSERT_TRUE(SaveIndexSnapshot(original, file.path()).ok());
 
   auto loaded = LoadIndexSnapshot(file.path());
@@ -95,7 +83,7 @@ TEST(IndexSnapshotTest, RoundTripPreservesDataAndAnswers) {
 }
 
 TEST(IndexSnapshotTest, MissingFileIsNotFound) {
-  auto r = LoadIndexSnapshot("/tmp/definitely_missing_dehealth.dhix");
+  auto r = LoadIndexSnapshot(ScratchDir().File("missing.dhix"));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
 }
@@ -152,7 +140,7 @@ TEST(IndexSnapshotTest, RejectsCorruptedPayload) {
 }
 
 TEST(IndexSnapshotTest, DecodeErrorFromDiskNamesTheFile) {
-  TempFile file("dehealth_index_named_error.dhix");
+  ScratchFile file("dehealth_index_named_error.dhix");
   ASSERT_TRUE(
       WriteStringToFile("NOPE" + std::string(64, '\0'), file.path()).ok());
   auto r = LoadIndexSnapshot(file.path());
@@ -166,7 +154,7 @@ TEST(IndexSnapshotTest, DecodeErrorFromDiskNamesTheFile) {
 
 TEST(IndexLoadOrBuildTest, BuildsAndPersistsWhenMissing) {
   const Scenario s = MakeScenario(24, 4);
-  TempFile file("dehealth_index_loadorbuild.dhix");
+  ScratchFile file("dehealth_index_loadorbuild.dhix");
   const SimilarityConfig sim;
   auto built = LoadOrBuildIndex(file.path(), s.auxiliary, sim);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
@@ -179,7 +167,7 @@ TEST(IndexLoadOrBuildTest, BuildsAndPersistsWhenMissing) {
 
 TEST(IndexLoadOrBuildTest, RebuildsOnConfigMismatch) {
   const Scenario s = MakeScenario(24, 4);
-  TempFile file("dehealth_index_configmismatch.dhix");
+  ScratchFile file("dehealth_index_configmismatch.dhix");
   SimilarityConfig sim;
   ASSERT_TRUE(LoadOrBuildIndex(file.path(), s.auxiliary, sim).ok());
 
@@ -196,7 +184,7 @@ TEST(IndexLoadOrBuildTest, RebuildsOnConfigMismatch) {
 TEST(IndexLoadOrBuildTest, RebuildsOnAuxiliaryChange) {
   const Scenario s1 = MakeScenario(24, 5);
   const Scenario s2 = MakeScenario(30, 6);
-  TempFile file("dehealth_index_auxmismatch.dhix");
+  ScratchFile file("dehealth_index_auxmismatch.dhix");
   const SimilarityConfig sim;
   auto first = LoadOrBuildIndex(file.path(), s1.auxiliary, sim);
   ASSERT_TRUE(first.ok());
@@ -209,7 +197,7 @@ TEST(IndexLoadOrBuildTest, RebuildsOnAuxiliaryChange) {
 
 TEST(IndexLoadOrBuildTest, RecoversFromCorruptSnapshot) {
   const Scenario s = MakeScenario(24, 7);
-  TempFile file("dehealth_index_corrupt.dhix");
+  ScratchFile file("dehealth_index_corrupt.dhix");
   const SimilarityConfig sim;
   ASSERT_TRUE(LoadOrBuildIndex(file.path(), s.auxiliary, sim).ok());
   auto bytes = ReadFileToString(file.path());
@@ -230,7 +218,7 @@ TEST(IndexLoadOrBuildTest, RecoversFromBitFlipAnywhereInSnapshot) {
   // checksum mismatch) and the index rebuilt, or it never reaches the
   // caller. After each recovery the on-disk snapshot is valid again.
   const Scenario s = MakeScenario(16, 9);
-  TempFile file("dehealth_index_bitflip_loop.dhix");
+  ScratchFile file("dehealth_index_bitflip_loop.dhix");
   const SimilarityConfig sim;
   ASSERT_TRUE(LoadOrBuildIndex(file.path(), s.auxiliary, sim).ok());
   auto clean = ReadFileToString(file.path());
@@ -258,7 +246,7 @@ TEST(IndexLoadOrBuildTest, RecoversFromBitFlipAnywhereInSnapshot) {
 
 TEST(IndexLoadOrBuildTest, RecoversFromInjectedLoadFaults) {
   const Scenario s = MakeScenario(16, 10);
-  TempFile file("dehealth_index_faultload.dhix");
+  ScratchFile file("dehealth_index_faultload.dhix");
   const SimilarityConfig sim;
   ASSERT_TRUE(LoadOrBuildIndex(file.path(), s.auxiliary, sim).ok());
   // A torn read or in-flight corruption of the snapshot bytes is caught by

@@ -6,7 +6,6 @@
 #include "ingest/epoch.h"
 
 #include <atomic>
-#include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -22,26 +21,11 @@
 #include "ingest/segment.h"
 #include "ingest/state.h"
 #include "serve/engine.h"
+#include "test_util/scratch_path.h"
 
 namespace dehealth {
 namespace ingest {
 namespace {
-
-class TempFile {
- public:
-  explicit TempFile(const std::string& name) : path_("/tmp/" + name) {
-    std::remove(path_.c_str());
-    std::remove((path_ + ".quarantined").c_str());
-  }
-  ~TempFile() {
-    std::remove(path_.c_str());
-    std::remove((path_ + ".quarantined").c_str());
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 struct Fixture {
   ForumDataset anonymized;
@@ -130,7 +114,7 @@ TEST(EpochHandlerTest, BootEpochMatchesPlainEngine) {
 
 TEST(EpochHandlerTest, StagedSegmentLeavesAnswersBitwiseStable) {
   const Fixture f = MakeFixture(12, 7);
-  TempFile segment_file("epoch_staged.dhsg");
+  ScratchFile segment_file("epoch_staged.dhsg");
   CutTailSegment(f, segment_file.path());
   auto handler = MakeHandler(f, SmallConfig());
 
@@ -144,7 +128,7 @@ TEST(EpochHandlerTest, StagedSegmentLeavesAnswersBitwiseStable) {
 
 TEST(EpochHandlerTest, SealSwapsToTheGrownUniverse) {
   const Fixture f = MakeFixture(12, 7);
-  TempFile segment_file("epoch_seal.dhsg");
+  ScratchFile segment_file("epoch_seal.dhsg");
   CutTailSegment(f, segment_file.path());
   auto handler = MakeHandler(f, SmallConfig());
   ASSERT_TRUE(handler->LoadSegment(segment_file.path()).ok());
@@ -175,14 +159,14 @@ TEST(EpochHandlerTest, SealWithoutStagedSegmentsStillIncrementsEpoch) {
 TEST(EpochHandlerTest, MissingSegmentFileIsNotFound) {
   const Fixture f = MakeFixture(10, 9);
   auto handler = MakeHandler(f, SmallConfig());
-  Status loaded = handler->LoadSegment("/tmp/no_such_segment.dhsg");
+  Status loaded = handler->LoadSegment(ScratchDir().File("missing.dhsg"));
   EXPECT_EQ(loaded.code(), StatusCode::kNotFound);
   EXPECT_EQ(handler->staged_segments(), 0u);
 }
 
 TEST(EpochHandlerTest, CorruptSegmentIsQuarantined) {
   const Fixture f = MakeFixture(10, 9);
-  TempFile segment_file("epoch_corrupt.dhsg");
+  ScratchFile segment_file("epoch_corrupt.dhsg");
   CutTailSegment(f, segment_file.path());
   // Poison one payload byte on disk.
   {
@@ -213,8 +197,8 @@ TEST(EpochHandlerTest, CorruptSegmentIsQuarantined) {
 // the honest segment afterwards.
 TEST(EpochHandlerTest, LyingSegmentIsRolledBackAndSealStaysStable) {
   const Fixture f = MakeFixture(12, 7);
-  TempFile liar_file("epoch_liar.dhsg");
-  TempFile good_file("epoch_liar_good.dhsg");
+  ScratchFile liar_file("epoch_liar.dhsg");
+  ScratchFile good_file("epoch_liar_good.dhsg");
   DeltaSegment good = CutTailSegment(f, good_file.path());
   // Valid frame (magic/version/checksum all fine), lying payload: the
   // result fingerprint claims a state the posts do not produce.
@@ -254,7 +238,7 @@ TEST(EpochHandlerTest, LyingSegmentIsRolledBackAndSealStaysStable) {
 // dataset/snapshot/log files.
 TEST(EpochHandlerTest, NonSegmentFileIsRefusedButNotQuarantined) {
   const Fixture f = MakeFixture(10, 9);
-  TempFile not_a_segment("epoch_not_a_segment.jsonl");
+  ScratchFile not_a_segment("epoch_not_a_segment.jsonl");
   {
     std::ofstream out(not_a_segment.path(), std::ios::binary);
     out << "{\"user_id\": 0, \"thread_id\": 0, \"text\": \"hello\"}\n";
@@ -272,7 +256,7 @@ TEST(EpochHandlerTest, NonSegmentFileIsRefusedButNotQuarantined) {
 
 TEST(EpochHandlerTest, WrongShardIdentityIsRefused) {
   const Fixture f = MakeFixture(10, 9);
-  TempFile segment_file("epoch_wrong_shard.dhsg");
+  ScratchFile segment_file("epoch_wrong_shard.dhsg");
   IngestState state = IngestState::FromDataset(f.base);
   auto segment = CutSegment(&state, f.tail, 0, 0, /*shard_index=*/2,
                             /*shard_count=*/4);
@@ -295,7 +279,7 @@ TEST(EpochHandlerTest, WrongShardIdentityIsRefused) {
 
 TEST(EpochHandlerTest, StaleSegmentIsRefusedAndStagingSurvives) {
   const Fixture f = MakeFixture(10, 9);
-  TempFile segment_file("epoch_stale.dhsg");
+  ScratchFile segment_file("epoch_stale.dhsg");
   CutTailSegment(f, segment_file.path());
   auto handler = MakeHandler(f, SmallConfig());
   ASSERT_TRUE(handler->LoadSegment(segment_file.path()).ok());
@@ -310,7 +294,7 @@ TEST(EpochHandlerTest, StaleSegmentIsRefusedAndStagingSurvives) {
 
 TEST(EpochHandlerTest, AutoSealPostsThresholdSealsInsideTheLoad) {
   const Fixture f = MakeFixture(12, 7);
-  TempFile segment_file("epoch_auto_posts.dhsg");
+  ScratchFile segment_file("epoch_auto_posts.dhsg");
   const DeltaSegment segment = CutTailSegment(f, segment_file.path());
   ASSERT_GT(segment.posts.size(), 0u);
 
@@ -334,7 +318,7 @@ TEST(EpochHandlerTest, AutoSealPostsThresholdSealsInsideTheLoad) {
 
 TEST(EpochHandlerTest, AutoSealBelowPostsThresholdStaysStaged) {
   const Fixture f = MakeFixture(12, 7);
-  TempFile segment_file("epoch_auto_below.dhsg");
+  ScratchFile segment_file("epoch_auto_below.dhsg");
   const DeltaSegment segment = CutTailSegment(f, segment_file.path());
 
   auto handler = MakeHandler(f, SmallConfig());
@@ -351,7 +335,7 @@ TEST(EpochHandlerTest, AutoSealBelowPostsThresholdStaysStaged) {
 
 TEST(EpochHandlerTest, AutoSealAgeThresholdSealsOnTheInjectedClock) {
   const Fixture f = MakeFixture(12, 7);
-  TempFile segment_file("epoch_auto_age.dhsg");
+  ScratchFile segment_file("epoch_auto_age.dhsg");
   CutTailSegment(f, segment_file.path());
 
   auto handler = MakeHandler(f, SmallConfig());
@@ -400,8 +384,8 @@ TEST(EpochHandlerTest, AutoSealAgeClockStartsAtFirstStagedSegment) {
   // Two segments staged at different times: the age trigger measures from
   // the FIRST, so a trickle of segments cannot postpone the seal forever.
   const Fixture f = MakeFixture(12, 7);
-  TempFile first_file("epoch_auto_first.dhsg");
-  TempFile second_file("epoch_auto_second.dhsg");
+  ScratchFile first_file("epoch_auto_first.dhsg");
+  ScratchFile second_file("epoch_auto_second.dhsg");
   // Chain: base -> (tail half 1) -> (tail half 2).
   IngestState state = IngestState::FromDataset(f.base);
   const size_t half = f.tail.size() / 2;
@@ -451,7 +435,7 @@ TEST(EpochHandlerTest, AutoSealAgeClockStartsAtFirstStagedSegment) {
 // either the old one or the new one, nothing in between.
 TEST(EpochHandlerTest, QueriesSurviveConcurrentSeal) {
   const Fixture f = MakeFixture(12, 13);
-  TempFile segment_file("epoch_race.dhsg");
+  ScratchFile segment_file("epoch_race.dhsg");
   CutTailSegment(f, segment_file.path());
   auto handler = MakeHandler(f, SmallConfig());
   const std::string old_witness = Witness(*handler);

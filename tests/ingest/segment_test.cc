@@ -6,7 +6,6 @@
 
 #include "ingest/segment.h"
 
-#include <cstdio>
 #include <fstream>
 #include <string>
 
@@ -15,28 +14,11 @@
 #include "common/fault_injection.h"
 #include "io/file_util.h"
 #include "io/forum_io.h"
+#include "test_util/scratch_path.h"
 
 namespace dehealth {
 namespace ingest {
 namespace {
-
-/// RAII temp path under /tmp, removed (with its quarantine twin) on
-/// destruction.
-class TempFile {
- public:
-  explicit TempFile(const std::string& name) : path_("/tmp/" + name) {
-    std::remove(path_.c_str());
-    std::remove((path_ + ".quarantined").c_str());
-  }
-  ~TempFile() {
-    std::remove(path_.c_str());
-    std::remove((path_ + ".quarantined").c_str());
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 bool FileExists(const std::string& path) {
   std::ifstream in(path);
@@ -105,16 +87,16 @@ TEST_F(SegmentTest, DecodeRejectsVersionZero) {
 }
 
 TEST_F(SegmentTest, FileMagicProbeDistinguishesSegments) {
-  TempFile segment_file("dhsg_magic_probe.dhsg");
+  ScratchFile segment_file("dhsg_magic_probe.dhsg");
   ASSERT_TRUE(SaveSegmentFile(MakeSegment(1, 2), segment_file.path()).ok());
   EXPECT_TRUE(FileHasSegmentMagic(segment_file.path()));
-  TempFile other_file("dhsg_magic_probe.txt");
+  ScratchFile other_file("dhsg_magic_probe.txt");
   ASSERT_TRUE(
       WriteStringToFileAtomic("not a segment", other_file.path()).ok());
   EXPECT_FALSE(FileHasSegmentMagic(other_file.path()));
-  EXPECT_FALSE(FileHasSegmentMagic("/tmp/definitely_missing.dhsg"));
+  EXPECT_FALSE(FileHasSegmentMagic(ScratchDir().File("missing.dhsg")));
   // Shorter than the magic itself.
-  TempFile tiny_file("dhsg_magic_probe_tiny.bin");
+  ScratchFile tiny_file("dhsg_magic_probe_tiny.bin");
   ASSERT_TRUE(WriteStringToFileAtomic("DH", tiny_file.path()).ok());
   EXPECT_FALSE(FileHasSegmentMagic(tiny_file.path()));
 }
@@ -151,7 +133,7 @@ TEST_F(SegmentTest, DecodeRejectsPostBeyondUniverse) {
 }
 
 TEST_F(SegmentTest, SaveLoadRoundTrip) {
-  TempFile file("dhsg_roundtrip.dhsg");
+  ScratchFile file("dhsg_roundtrip.dhsg");
   const DeltaSegment segment = MakeSegment(7, 8);
   ASSERT_TRUE(SaveSegmentFile(segment, file.path()).ok());
   auto loaded = LoadSegmentFile(file.path());
@@ -160,19 +142,19 @@ TEST_F(SegmentTest, SaveLoadRoundTrip) {
 }
 
 TEST_F(SegmentTest, LoadMissingFileIsNotFound) {
-  auto loaded = LoadSegmentFile("/tmp/definitely_missing.dhsg");
+  auto loaded = LoadSegmentFile(ScratchDir().File("missing.dhsg"));
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
 }
 
 TEST_F(SegmentTest, SaveFaultSitePropagates) {
-  TempFile file("dhsg_save_fault.dhsg");
+  ScratchFile file("dhsg_save_fault.dhsg");
   ASSERT_TRUE(
       FaultInjector::Global().Configure("segment.save:enospc:1").ok());
   EXPECT_FALSE(SaveSegmentFile(MakeSegment(1, 2), file.path()).ok());
 }
 
 TEST_F(SegmentTest, LoadFaultSitePropagates) {
-  TempFile file("dhsg_load_fault.dhsg");
+  ScratchFile file("dhsg_load_fault.dhsg");
   ASSERT_TRUE(SaveSegmentFile(MakeSegment(1, 2), file.path()).ok());
   ASSERT_TRUE(
       FaultInjector::Global().Configure("segment.load:fail:1").ok());
@@ -180,7 +162,7 @@ TEST_F(SegmentTest, LoadFaultSitePropagates) {
 }
 
 TEST_F(SegmentTest, LoadDataFaultIsCaughtByChecksum) {
-  TempFile file("dhsg_load_flip.dhsg");
+  ScratchFile file("dhsg_load_flip.dhsg");
   ASSERT_TRUE(SaveSegmentFile(MakeSegment(1, 2), file.path()).ok());
   ASSERT_TRUE(
       FaultInjector::Global().Configure("segment.load.data:flip:1").ok());
@@ -192,7 +174,7 @@ TEST_F(SegmentTest, LoadDataFaultIsCaughtByChecksum) {
 // read-back, the corrupt file is quarantined, and the recomputed rewrite
 // succeeds — the final artifact on disk is clean.
 TEST_F(SegmentTest, WriteVerifiedQuarantinesAndRecomputes) {
-  TempFile file("dhsg_write_flip.dhsg");
+  ScratchFile file("dhsg_write_flip.dhsg");
   const DeltaSegment segment = MakeSegment(5, 6);
   ASSERT_TRUE(
       FaultInjector::Global().Configure("segment.write.data:flip:1").ok());
@@ -208,7 +190,7 @@ TEST_F(SegmentTest, WriteVerifiedQuarantinesAndRecomputes) {
 }
 
 TEST_F(SegmentTest, WriteVerifiedGivesUpOnPersistentCorruption) {
-  TempFile file("dhsg_write_dead_disk.dhsg");
+  ScratchFile file("dhsg_write_dead_disk.dhsg");
   ASSERT_TRUE(FaultInjector::Global()
                   .Configure("segment.write.data:flip:1:0")
                   .ok());
@@ -261,7 +243,7 @@ TEST_F(SegmentTest, CompactFaultSitePropagates) {
 }
 
 TEST_F(SegmentTest, TailReaderSkipsCoveredPrefix) {
-  TempFile file("dhsg_tail.jsonl");
+  ScratchFile file("dhsg_tail.jsonl");
   ForumDataset forum;
   forum.num_users = 3;
   forum.num_threads = 2;
@@ -279,7 +261,7 @@ TEST_F(SegmentTest, TailReaderSkipsCoveredPrefix) {
 }
 
 TEST_F(SegmentTest, TailReaderDataFaultFailsClosed) {
-  TempFile file("dhsg_tail_fault.jsonl");
+  ScratchFile file("dhsg_tail_fault.jsonl");
   ForumDataset forum;
   forum.num_users = 1;
   forum.num_threads = 1;

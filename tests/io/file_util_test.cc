@@ -1,15 +1,17 @@
 #include "io/file_util.h"
 
-#include <cstdio>
 #include <string>
 
 #include <gtest/gtest.h>
+
+#include "test_util/scratch_path.h"
 
 namespace dehealth {
 namespace {
 
 TEST(FileUtilTest, RoundTripsBinaryContent) {
-  const std::string path = "/tmp/dehealth_file_util_test.bin";
+  const ScratchFile file("file_util_test.bin");
+  const std::string& path = file.path();
   std::string content = "binary\0payload\nwith\tstuff";
   content += '\0';
   content += '\xFF';
@@ -17,20 +19,19 @@ TEST(FileUtilTest, RoundTripsBinaryContent) {
   auto read = ReadFileToString(path);
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   EXPECT_EQ(*read, content);
-  std::remove(path.c_str());
 }
 
 TEST(FileUtilTest, RoundTripsEmptyFile) {
-  const std::string path = "/tmp/dehealth_file_util_empty.bin";
+  const ScratchFile file("file_util_empty.bin");
+  const std::string& path = file.path();
   ASSERT_TRUE(WriteStringToFile("", path).ok());
   auto read = ReadFileToString(path);
   ASSERT_TRUE(read.ok());
   EXPECT_TRUE(read->empty());
-  std::remove(path.c_str());
 }
 
 TEST(FileUtilTest, MissingFileIsNotFound) {
-  auto r = ReadFileToString("/tmp/definitely_missing_dehealth_util.bin");
+  auto r = ReadFileToString(ScratchDir().File("missing.bin"));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
 }
@@ -42,7 +43,8 @@ TEST(FileUtilTest, UnwritableDirectoryIsNotFound) {
 }
 
 TEST(FileUtilTest, AtomicWriteRoundTripsAndLeavesNoTempFile) {
-  const std::string path = "/tmp/dehealth_file_util_atomic.bin";
+  const ScratchFile file("file_util_atomic.bin");
+  const std::string& path = file.path();
   std::string content = "snapshot\0bytes";
   content += '\xFE';
   ASSERT_TRUE(WriteStringToFileAtomic(content, path).ok());
@@ -51,11 +53,11 @@ TEST(FileUtilTest, AtomicWriteRoundTripsAndLeavesNoTempFile) {
   EXPECT_EQ(*read, content);
   // The crash-window staging file must not survive a successful write.
   EXPECT_FALSE(ReadFileToString(path + ".tmp").ok());
-  std::remove(path.c_str());
 }
 
 TEST(FileUtilTest, AtomicWriteReplacesExistingFileWholesale) {
-  const std::string path = "/tmp/dehealth_file_util_atomic_replace.bin";
+  const ScratchFile file("file_util_atomic_replace.bin");
+  const std::string& path = file.path();
   ASSERT_TRUE(WriteStringToFile("old content, longer than new", path).ok());
   ASSERT_TRUE(WriteStringToFileAtomic("new", path).ok());
   auto read = ReadFileToString(path);
@@ -63,11 +65,11 @@ TEST(FileUtilTest, AtomicWriteReplacesExistingFileWholesale) {
   // Rename semantics: the old bytes are gone entirely, never a mixed
   // prefix/suffix as in-place truncating writes can leave on a crash.
   EXPECT_EQ(*read, "new");
-  std::remove(path.c_str());
 }
 
 TEST(FileUtilTest, AtomicWriteRecoversFromStaleTempFile) {
-  const std::string path = "/tmp/dehealth_file_util_atomic_stale.bin";
+  const ScratchFile file("file_util_atomic_stale.bin");
+  const std::string& path = file.path();
   // Simulate a crash mid-write from an earlier process: a stale .tmp left
   // behind must not block (or corrupt) the next atomic write.
   ASSERT_TRUE(WriteStringToFile("half-written garb", path + ".tmp").ok());
@@ -76,7 +78,6 @@ TEST(FileUtilTest, AtomicWriteRecoversFromStaleTempFile) {
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(*read, "fresh");
   EXPECT_FALSE(ReadFileToString(path + ".tmp").ok());
-  std::remove(path.c_str());
 }
 
 TEST(FileUtilTest, AtomicWriteToUnwritableDirectoryIsNotFound) {

@@ -1,6 +1,5 @@
 #include "io/forum_io.h"
 
-#include <cstdio>
 #include <fstream>
 #include <string>
 
@@ -8,6 +7,7 @@
 
 #include "common/fault_injection.h"
 #include "datagen/forum_generator.h"
+#include "test_util/scratch_path.h"
 
 namespace dehealth {
 namespace {
@@ -114,18 +114,19 @@ TEST(ForumJsonlTest, ToleratesBlankLines) {
 
 TEST(ForumFileIoTest, SaveAndLoad) {
   const ForumDataset original = SmallDataset();
-  const std::string path = "/tmp/dehealth_forum_io_test.jsonl";
+  const ScratchFile file("forum_io_test.jsonl");
+  const std::string& path = file.path();
   ASSERT_TRUE(SaveForumDataset(original, path).ok());
   auto loaded = LoadForumDataset(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->posts.size(), original.posts.size());
-  std::remove(path.c_str());
 }
 
 TEST(ForumFileIoTest, TruncatedFileFailsCleanly) {
   auto forum = GenerateForum(WebMdLikeConfig(10, 3));
   ASSERT_TRUE(forum.ok());
-  const std::string path = "/tmp/dehealth_forum_truncated.jsonl";
+  const ScratchFile file("forum_truncated.jsonl");
+  const std::string& path = file.path();
   ASSERT_TRUE(SaveForumDataset(forum->dataset, path).ok());
   const std::string full = ForumDatasetToJsonl(forum->dataset);
   // Cut mid-record: the dangling line must come back as a Status error.
@@ -133,11 +134,10 @@ TEST(ForumFileIoTest, TruncatedFileFailsCleanly) {
       << full.substr(0, full.size() - 5);
   auto r = LoadForumDataset(path);
   EXPECT_FALSE(r.ok());
-  std::remove(path.c_str());
 }
 
 TEST(ForumFileIoTest, LoadMissingFileFails) {
-  auto r = LoadForumDataset("/tmp/definitely_missing_dehealth.jsonl");
+  auto r = LoadForumDataset(ScratchDir().File("missing.jsonl"));
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
 }
@@ -145,7 +145,8 @@ TEST(ForumFileIoTest, LoadMissingFileFails) {
 // A parse failure from disk must name the file AND the line where parsing
 // stopped — a bad record among millions is attributable, not a mystery.
 TEST(ForumFileIoTest, ParseErrorsCarryPathAndLine) {
-  const std::string path = "/tmp/dehealth_forum_badline.jsonl";
+  const ScratchFile file("forum_badline.jsonl");
+  const std::string& path = file.path();
   std::ofstream(path, std::ios::binary)
       << "{\"num_users\": 3, \"num_threads\": 2}\n"
       << "{\"user_id\": 0, \"thread_id\": 0, \"text\": \"ok\"}\n"
@@ -157,7 +158,6 @@ TEST(ForumFileIoTest, ParseErrorsCarryPathAndLine) {
       << r.status().ToString();
   EXPECT_NE(r.status().message().find("(line 3)"), std::string::npos)
       << r.status().ToString();
-  std::remove(path.c_str());
 }
 
 // Malformed-corpus sweep: every adversarial shape a crawler or a corrupted
@@ -217,7 +217,8 @@ TEST(ForumJsonlTest, MalformedCorpusSweep) {
 TEST(ForumFileIoTest, InjectedCorruptionFailsCleanly) {
   auto forum = GenerateForum(WebMdLikeConfig(10, 5));
   ASSERT_TRUE(forum.ok());
-  const std::string path = "/tmp/dehealth_forum_faulted.jsonl";
+  const ScratchFile file("forum_faulted.jsonl");
+  const std::string& path = file.path();
   ASSERT_TRUE(SaveForumDataset(forum->dataset, path).ok());
   // A read-side I/O error is always surfaced.
   ASSERT_TRUE(FaultInjector::Global().Configure("file.read:fail:1").ok());
@@ -238,7 +239,6 @@ TEST(ForumFileIoTest, InjectedCorruptionFailsCleanly) {
   }
   // Disarmed, the same file loads fine: the faults were injected, not real.
   EXPECT_TRUE(LoadForumDataset(path).ok());
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -19,25 +19,10 @@
 #include "index/pipeline.h"
 #include "io/file_util.h"
 #include "job/manifest.h"
+#include "test_util/scratch_path.h"
 
 namespace dehealth {
 namespace {
-
-/// RAII scratch directory under /tmp, removed recursively on destruction.
-class TempDir {
- public:
-  explicit TempDir(const std::string& name) : path_("/tmp/" + name) {
-    std::filesystem::remove_all(path_);
-  }
-  ~TempDir() { std::filesystem::remove_all(path_); }
-  const std::string& path() const { return path_; }
-  std::string File(const std::string& name) const {
-    return (std::filesystem::path(path_) / name).string();
-  }
-
- private:
-  std::string path_;
-};
 
 DeHealthConfig JobConfig(const std::string& dir, int shard_size = 3) {
   DeHealthConfig config;
@@ -210,17 +195,27 @@ TEST_F(JobTest, ConfigFingerprintCoversOnlySemanticFields) {
   DeHealthConfig filtered = base;
   filtered.enable_filtering = true;
   EXPECT_NE(JobConfigFingerprint(base), JobConfigFingerprint(filtered));
-  // A recall-capped index changes answers, so it must change identity.
-  DeHealthConfig capped = base;
-  capped.use_index = true;
-  capped.index_max_candidates = 3;
-  EXPECT_NE(JobConfigFingerprint(base), JobConfigFingerprint(capped));
+}
+
+TEST_F(JobTest, ConfigFingerprintIsPinnedAcrossVersions) {
+  // Job directories outlive the binary that wrote them: a resume after an
+  // upgrade only works if the same config still fingerprints the same.
+  // This value was written by earlier releases; if it moves, every
+  // existing job directory silently stops resuming. Re-pin only together
+  // with a manifest format version bump.
+  DeHealthConfig config;
+  EXPECT_EQ(JobConfigFingerprint(config), 0x65ba5975ced6d223ull);
+  config.use_index = true;
+  EXPECT_EQ(JobConfigFingerprint(config), 0x65ba5975ced6d223ull);
+  config.top_k = 7;
+  config.similarity.idf_weight_attributes = true;
+  EXPECT_EQ(JobConfigFingerprint(config), 0x301289ada2d24221ull);
 }
 
 // ------------------------------------------------------------ happy path
 
 TEST_F(JobTest, JobMatchesDirectRun) {
-  TempDir dir("dehealth_job_match");
+  ScratchDir dir;
   auto result = RunDeHealthAttackJob(*anon_, *aux_, JobConfig(dir.path()));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ExpectSameAttackResult(*result, *golden_);
@@ -243,7 +238,7 @@ TEST_F(JobTest, JobMatchesDirectRun) {
 }
 
 TEST_F(JobTest, FilteringJobMatchesDirectRun) {
-  TempDir dir("dehealth_job_filter");
+  ScratchDir dir;
   DeHealthConfig config = JobConfig(dir.path());
   config.enable_filtering = true;
   DeHealthConfig direct = config;
@@ -257,8 +252,8 @@ TEST_F(JobTest, FilteringJobMatchesDirectRun) {
 }
 
 TEST_F(JobTest, ShardSizeAndThreadCountDoNotChangeAnswers) {
-  TempDir dir_a("dehealth_job_shard2");
-  TempDir dir_b("dehealth_job_shard30");
+  ScratchDir dir_a;
+  ScratchDir dir_b;
   DeHealthConfig a = JobConfig(dir_a.path(), 2);
   a.num_threads = 2;
   DeHealthConfig b = JobConfig(dir_b.path(), 30);
@@ -272,7 +267,7 @@ TEST_F(JobTest, ShardSizeAndThreadCountDoNotChangeAnswers) {
 }
 
 TEST_F(JobTest, RawOutParamCarriesUnfilteredCandidates) {
-  TempDir dir("dehealth_job_raw");
+  ScratchDir dir;
   DeHealthConfig config = JobConfig(dir.path());
   config.enable_filtering = true;
   auto job = AttackJob::Open(*anon_, *aux_, config);
@@ -319,9 +314,8 @@ TEST_F(JobTest, ResumesAfterInjectedFailureAtEveryPhase) {
       "job.shard_write:enospc:4",  "job.phase2:fail:2",
       "file.write_atomic:enospc:3",
   };
-  int index = 0;
   for (const char* spec : kill_specs) {
-    TempDir dir("dehealth_job_resume_" + std::to_string(index++));
+    ScratchDir dir;
     ASSERT_TRUE(FaultInjector::Global().Configure(spec).ok());
     auto wounded =
         RunDeHealthAttackJob(*anon_, *aux_, JobConfig(dir.path()));
@@ -339,7 +333,7 @@ TEST_F(JobTest, ResumesAfterInjectedFailureAtEveryPhase) {
 }
 
 TEST_F(JobTest, FilteringJobResumesAcrossFilterFault) {
-  TempDir dir("dehealth_job_filter_resume");
+  ScratchDir dir;
   DeHealthConfig config = JobConfig(dir.path());
   config.enable_filtering = true;
   ASSERT_TRUE(FaultInjector::Global().Configure("job.filter:fail:1").ok());
@@ -355,7 +349,7 @@ TEST_F(JobTest, FilteringJobResumesAcrossFilterFault) {
 }
 
 TEST_F(JobTest, CorruptShardIsQuarantinedAndRecomputed) {
-  TempDir dir("dehealth_job_quarantine");
+  ScratchDir dir;
   ASSERT_TRUE(
       RunDeHealthAttackJob(*anon_, *aux_, JobConfig(dir.path())).ok());
   const std::string victim = dir.File("topk-00000003-00000006.dhsh");
@@ -378,7 +372,7 @@ TEST_F(JobTest, CorruptShardIsQuarantinedAndRecomputed) {
 }
 
 TEST_F(JobTest, CorruptManifestIsQuarantinedAndRewritten) {
-  TempDir dir("dehealth_job_bad_manifest");
+  ScratchDir dir;
   ASSERT_TRUE(
       RunDeHealthAttackJob(*anon_, *aux_, JobConfig(dir.path())).ok());
   const std::string manifest = dir.File("MANIFEST.dhjb");
@@ -391,7 +385,7 @@ TEST_F(JobTest, CorruptManifestIsQuarantinedAndRewritten) {
 }
 
 TEST_F(JobTest, ManifestMismatchFailsClosed) {
-  TempDir dir("dehealth_job_mismatch");
+  ScratchDir dir;
   ASSERT_TRUE(
       RunDeHealthAttackJob(*anon_, *aux_, JobConfig(dir.path())).ok());
   DeHealthConfig other = JobConfig(dir.path());
@@ -410,7 +404,7 @@ TEST_F(JobTest, ManifestMismatchFailsClosed) {
 }
 
 TEST_F(JobTest, ShutdownRequestReturnsCancelledAndResumes) {
-  TempDir dir("dehealth_job_shutdown");
+  ScratchDir dir;
   RequestProcessShutdown();
   auto interrupted =
       RunDeHealthAttackJob(*anon_, *aux_, JobConfig(dir.path()));
@@ -428,7 +422,7 @@ TEST_F(JobTest, RejectsInvalidJobSetups) {
   DeHealthConfig no_dir = JobConfig("");
   EXPECT_EQ(AttackJob::Open(*anon_, *aux_, no_dir).status().code(),
             StatusCode::kInvalidArgument);
-  TempDir dir("dehealth_job_invalid");
+  ScratchDir dir;
   DeHealthConfig zero_shard = JobConfig(dir.path(), 0);
   EXPECT_EQ(AttackJob::Open(*anon_, *aux_, zero_shard).status().code(),
             StatusCode::kInvalidArgument);
@@ -449,7 +443,7 @@ TEST_F(JobDeathTest, KilledJobResumesBitwiseIdentical) {
   // The injected crash is a real _exit(86) mid-job — no destructors, no
   // flushing — exactly like SIGKILL at that instruction. The durable state
   // is whatever WriteStringToFileAtomic committed before the kill.
-  TempDir dir("dehealth_job_crash");
+  ScratchDir dir;
   EXPECT_EXIT(
       {
         Status configured = FaultInjector::Global().Configure(
@@ -476,7 +470,7 @@ TEST_F(JobDeathTest, KilledJobResumesBitwiseIdentical) {
 }
 
 TEST_F(JobDeathTest, CrashDuringAtomicWriteLeavesNoTornShard) {
-  TempDir dir("dehealth_job_torn");
+  ScratchDir dir;
   EXPECT_EXIT(
       {
         Status configured = FaultInjector::Global().Configure(

@@ -14,6 +14,7 @@
 #include "index/pipeline.h"
 #include "serve/client.h"
 #include "serve/engine.h"
+#include "test_util/scratch_path.h"
 
 namespace dehealth {
 namespace {
@@ -159,8 +160,8 @@ TEST_F(ServeEngineTest, OutOfRangeUserIsInvalidArgument) {
 }
 
 TEST_F(ServeEngineTest, JobDirWarmStartIsDurable) {
-  const std::string job_dir = "/tmp/dehealth_serve_job_warm";
-  std::filesystem::remove_all(job_dir);
+  const ScratchDir scratch;
+  const std::string job_dir = scratch.File("job");
   DeHealthConfig config = FastConfig();
   config.job_dir = job_dir;
   config.job_shard_size = 7;
@@ -190,7 +191,6 @@ TEST_F(ServeEngineTest, JobDirWarmStartIsDurable) {
   auto refined = (*warm)->Refine(users);
   ASSERT_TRUE(refined.ok());
   EXPECT_EQ(refined->predictions, golden->refined.predictions);
-  std::filesystem::remove_all(job_dir);
 }
 
 /// Full client/server loop against the same golden answers.

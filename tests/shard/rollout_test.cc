@@ -5,7 +5,6 @@
 
 #include "shard/rollout.h"
 
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <utility>
@@ -22,21 +21,10 @@
 #include "serve/engine.h"
 #include "serve/server.h"
 #include "shard/router.h"
+#include "test_util/scratch_path.h"
 
 namespace dehealth {
 namespace {
-
-class TempFile {
- public:
-  explicit TempFile(const std::string& name) : path_("/tmp/" + name) {
-    std::remove(path_.c_str());
-  }
-  ~TempFile() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 /// One --ingest slice backend: an EpochHandler over shard g of n booted on
 /// the base log, with a QueryServer in front.
@@ -145,7 +133,7 @@ ForumDataset* RolloutTest::full_ = nullptr;
 std::vector<Post>* RolloutTest::tail_ = nullptr;
 
 TEST_F(RolloutTest, RollingSealConvergesTheWholeFleet) {
-  TempFile segment_file("rollout_converge.dhsg");
+  ScratchFile segment_file("rollout_converge.dhsg");
   CutTailSegment(segment_file.path());
   auto fleet = StartFleet(2, 2);
   ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
@@ -203,7 +191,7 @@ TEST_F(RolloutTest, RollingSealConvergesTheWholeFleet) {
 }
 
 TEST_F(RolloutTest, StageOnlyThenSealOnlyRollout) {
-  TempFile segment_file("rollout_no_seal.dhsg");
+  ScratchFile segment_file("rollout_no_seal.dhsg");
   CutTailSegment(segment_file.path());
   auto fleet = StartFleet(1, 2);
   ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
@@ -236,7 +224,7 @@ TEST_F(RolloutTest, StageOnlyThenSealOnlyRollout) {
 }
 
 TEST_F(RolloutTest, DivergedReplicaFailsTheRolloutClosed) {
-  TempFile segment_file("rollout_diverged.dhsg");
+  ScratchFile segment_file("rollout_diverged.dhsg");
   CutTailSegment(segment_file.path());
   auto fleet = StartFleet(1, 2);
   ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
@@ -260,7 +248,7 @@ TEST_F(RolloutTest, DivergedReplicaFailsTheRolloutClosed) {
 }
 
 TEST_F(RolloutTest, MisGroupedFleetRefusedBeforeMutation) {
-  TempFile segment_file("rollout_mis_grouped.dhsg");
+  ScratchFile segment_file("rollout_mis_grouped.dhsg");
   CutTailSegment(segment_file.path());
   // Two different slices "grouped" as replicas of one shard.
   auto a = StartIngestSlice(0, 2);
