@@ -179,17 +179,29 @@ int RunShardPrep(int n2, int shards, const std::string& dir) {
 
   std::filesystem::create_directories(dir);
   const SimilarityConfig config;
-  auto built = BuildShardIndexes(dir + "/aux.dhix", aux, config, shards);
-  if (!built.ok()) {
-    std::fprintf(stderr, "shards: %s\n", built.status().ToString().c_str());
+  auto full = CandidateIndex::Build(aux, config);
+  if (!full.ok()) {
+    std::fprintf(stderr, "build: %s\n", full.status().ToString().c_str());
     return 1;
   }
-  // Any shard can compute query features: the idf table is GLOBAL.
-  CandidateIndexData queries = (*built)[0].data();
-  queries.users = (*built)[0].ComputeQueryFeatures(anon);
-  queries.shard_index = 0;
-  queries.shard_count = 1;
-  queries.shard_begin = 0;
+  const std::vector<ShardRange> ranges =
+      ComputeShardRanges(full->num_auxiliary(), shards);
+  for (int i = 0; i < shards; ++i) {
+    auto shard = CandidateIndex::FromData(SliceIndexData(
+        full->data(), ranges[static_cast<size_t>(i)], i, shards));
+    const std::string path = ShardSnapshotPath(dir + "/aux.dhix", i, shards);
+    Status saved =
+        shard.ok() ? SaveIndexSnapshot(*shard, path) : shard.status();
+    if (!saved.ok()) {
+      std::fprintf(stderr, "shard %d: %s\n", i, saved.ToString().c_str());
+      return 1;
+    }
+  }
+  // The slices share the full index's GLOBAL idf table, so its query
+  // features are every shard's; an empty slice carries that global state.
+  CandidateIndexData queries =
+      SliceIndexData(full->data(), ShardRange{0, 0}, 0, 1);
+  queries.users = full->ComputeQueryFeatures(anon);
   queries.shard_total = static_cast<uint32_t>(queries.users.size());
   auto query_index = CandidateIndex::FromData(std::move(queries));
   if (!query_index.ok()) {

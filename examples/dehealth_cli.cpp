@@ -296,8 +296,8 @@ int CmdEvaluate(const Args& args) {
                 "--index/--index-path do not apply");
   if (config.shard_count > 1)
     return Fail("evaluate needs the full auxiliary universe; "
-                "--shard-count does not apply (use --shards for "
-                "in-process parallel sharding)");
+                "--shard-count does not apply (fleet slices are served by "
+                "dehealth_serve --shard-count behind dehealth_router)");
   if (!config.job_dir.empty())
     return Fail("evaluate is not checkpointable; --job-dir does not apply");
 

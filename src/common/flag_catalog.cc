@@ -120,9 +120,6 @@ const std::vector<FlagDoc>& FlagCatalog() {
        "(default 0)"},
       {"shard-size", "cli attack, serve", false,
        "Users per checkpoint shard under --job-dir (default 64)"},
-      {"shards", "cli attack, serve", false,
-       "Partition the auxiliary universe across this many in-process "
-       "engine shards with bitwise-identical merged answers (default 1)"},
       {"simd", "cli attack, serve", false,
        "Score-kernel instruction set: auto (default; DEHEALTH_SIMD env, "
        "then cpuid), avx2, sse2, or scalar — all tiers score identically"},

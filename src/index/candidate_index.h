@@ -120,8 +120,7 @@ class CandidateIndex {
                 std::vector<double>* row) const;
 
   /// ExactRow into a caller-provided buffer of num_auxiliary() doubles —
-  /// the allocation-free form Top-K and the sharded source's row assembly
-  /// reuse.
+  /// the allocation-free form Top-K reuses.
   void ExactRowTo(const IndexedUserFeatures& query, double* out) const;
 
   /// The query's Top-K candidate list: the min(k, n2) auxiliary ids with

@@ -41,14 +41,12 @@ struct AttackScoreSource {
 /// Builds the score source the config asks for: the dense similarity
 /// matrix, the auxiliary-side candidate index (loaded from
 /// config.index_snapshot_path when the snapshot matches, rebuilt + saved
-/// otherwise), the in-process sharded scatter-gather source
-/// (config.num_shards > 1, bitwise-identical answers), or a single-shard
-/// slice (config.shard_count > 1 — local auxiliary ids over that shard's
-/// range). Graceful degradation: an index that cannot be
-/// loaded/built/persisted falls back to the dense path with a warning
-/// (see `degraded_to_dense`) — an unusable snapshot file never takes the
-/// attack down with it. Defined in src/shard/attack_pipeline.cc (the
-/// sharded modes pull in src/shard/, which layers above src/index/).
+/// otherwise), or a single-shard slice (config.shard_count > 1 — local
+/// auxiliary ids over that shard's range). Graceful degradation: an index
+/// that cannot be loaded/built/persisted falls back to the dense path with
+/// a warning (see `degraded_to_dense`) — an unusable snapshot file never
+/// takes the attack down with it. Defined in src/shard/attack_pipeline.cc (the
+/// slice mode pulls in src/shard/, which layers above src/index/).
 StatusOr<std::unique_ptr<AttackScoreSource>> BuildAttackScoreSource(
     const UdaGraph& anonymized, const UdaGraph& auxiliary,
     const DeHealthConfig& config);

@@ -120,8 +120,9 @@ struct IndexMetrics {
 IndexMetrics& GetIndexMetrics();
 
 /// Shard scatter-gather metrics. Router processes usually bind these to
-/// their server registry via GetShardMetrics(&registry); the in-process
-/// sharded source uses the Registry::Global() binding.
+/// their server registry via BindShardMetrics(registry); a slice backend's
+/// snapshot quarantines (LoadOrBuildShardIndex) use the Registry::Global()
+/// binding.
 struct ShardMetrics {
   Counter* scatter_rpcs;
   Counter* scatter_failures;

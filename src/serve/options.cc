@@ -50,26 +50,19 @@ StatusOr<DeHealthConfig> ParseAttackFlags(const FlagParser& flags) {
   if (shard_size < 1)
     return Status::InvalidArgument("--shard-size must be >= 1");
   config.job_shard_size = shard_size;
-  // Sharding (src/shard/): --shards partitions in-process; --shard-index /
-  // --shard-count make this process ONE slice of a router-fronted fleet.
-  OPTIONS_ASSIGN_OR_RETURN(shards, flags.GetInt("shards", 1));
+  // Sharding (src/shard/): --shard-index / --shard-count make this process
+  // ONE slice of a router-fronted fleet.
   OPTIONS_ASSIGN_OR_RETURN(shard_index, flags.GetInt("shard-index", 0));
   OPTIONS_ASSIGN_OR_RETURN(shard_count, flags.GetInt("shard-count", 1));
-  if (shards < 1) return Status::InvalidArgument("--shards must be >= 1");
   if (shard_count < 1)
     return Status::InvalidArgument("--shard-count must be >= 1");
   if (shard_index < 0 || shard_index >= shard_count)
     return Status::InvalidArgument(
         "--shard-index must be in [0, --shard-count)");
-  if (shards > 1 && shard_count > 1)
-    return Status::InvalidArgument(
-        "--shards (in-process) and --shard-count (one slice of a fleet) "
-        "are mutually exclusive");
   if (shard_count > 1 && config.enable_filtering)
     return Status::InvalidArgument(
         "--filter needs universe-global thresholds and cannot run on a "
         "shard slice (--shard-count > 1); filter behind the router instead");
-  config.num_shards = shards;
   config.shard_index = shard_index;
   config.shard_count = shard_count;
   const std::string learner = flags.Get("learner", "smo");

@@ -1,7 +1,7 @@
 // Implements index/pipeline.h. Lives in src/shard/ (not src/index/)
-// because BuildAttackScoreSource is the one place all four score-source
-// modes meet — dense, indexed, in-process sharded, and shard slice — and
-// the sharded modes need src/shard/, which layers above src/index/.
+// because BuildAttackScoreSource is the one place all three score-source
+// modes meet — dense, indexed, and shard slice — and the slice mode needs
+// src/shard/, which layers above src/index/.
 #include "index/pipeline.h"
 
 #include <cstdio>
@@ -13,7 +13,6 @@
 #include "obs/standard_metrics.h"
 #include "shard/partition.h"
 #include "shard/shard_index.h"
-#include "shard/sharded_source.h"
 
 namespace dehealth {
 
@@ -32,17 +31,10 @@ void WarnDenseFallback(const Status& status) {
 StatusOr<std::unique_ptr<AttackScoreSource>> BuildAttackScoreSource(
     const UdaGraph& anonymized, const UdaGraph& auxiliary,
     const DeHealthConfig& config) {
-  if (config.num_shards < 1)
-    return Status::InvalidArgument(
-        "BuildAttackScoreSource: num_shards must be >= 1");
   if (config.shard_count < 1 || config.shard_index < 0 ||
       config.shard_index >= config.shard_count)
     return Status::InvalidArgument(
         "BuildAttackScoreSource: shard_index must be in [0, shard_count)");
-  if (config.num_shards > 1 && config.shard_count > 1)
-    return Status::InvalidArgument(
-        "BuildAttackScoreSource: num_shards > 1 (in-process sharding) and "
-        "shard_count > 1 (slice mode) are mutually exclusive");
   if (config.shard_count > 1 && config.enable_filtering)
     return Status::InvalidArgument(
         "BuildAttackScoreSource: filtering thresholds are global and cannot "
@@ -59,11 +51,9 @@ StatusOr<std::unique_ptr<AttackScoreSource>> BuildAttackScoreSource(
   if (config.engine != EngineKind::kStructural) {
     // Matrix-backed engines (--engine=blind|community, src/engines/): the
     // score matrix is built once over the FULL universe, then served
-    // dense or column-sliced (--shard-count fleet mode). --shards N ranks
-    // the same rows a sharded scatter-gather would merge, so the dense
-    // source already gives its bitwise answers (DESIGN.md "Sharding"). The
-    // candidate index is a structural-kernel artifact, so the index knobs
-    // are meaningless here and fail fast instead of silently degrading.
+    // dense or column-sliced (--shard-count fleet mode). The candidate
+    // index is a structural-kernel artifact, so the index knobs are
+    // meaningless here and fail fast instead of silently degrading.
     if (config.use_index || !config.index_snapshot_path.empty())
       return Status::InvalidArgument(
           std::string("BuildAttackScoreSource: --index/--index-path only "
@@ -128,20 +118,7 @@ StatusOr<std::unique_ptr<AttackScoreSource>> BuildAttackScoreSource(
     return bundle;
   }
 
-  if (config.num_shards > 1) {
-    // In-process sharding: N per-shard indexes behind scatter-gather.
-    // Answers are bitwise-identical to every other exact mode, so a
-    // failure here degrades to the dense path exactly like a failed index.
-    StatusOr<std::vector<CandidateIndex>> shards = BuildShardIndexes(
-        config.index_snapshot_path, auxiliary, sim_config, config.num_shards);
-    if (shards.ok()) {
-      bundle->source = std::make_unique<ShardedCandidateSource>(
-          anonymized, std::move(shards).value(), config.num_threads);
-      return bundle;
-    }
-    WarnDenseFallback(shards.status());
-    bundle->degraded_to_dense = true;
-  } else if (config.use_index) {
+  if (config.use_index) {
     StatusOr<CandidateIndex> index =
         LoadOrBuildIndex(config.index_snapshot_path, auxiliary, sim_config);
     if (index.ok()) {

@@ -2,14 +2,14 @@
 
 namespace dehealth {
 
-std::vector<ShardRange> ComputeShardRanges(int total, int num_shards) {
-  if (num_shards < 1) num_shards = 1;
+std::vector<ShardRange> ComputeShardRanges(int total, int shard_count) {
+  if (shard_count < 1) shard_count = 1;
   if (total < 0) total = 0;
-  std::vector<ShardRange> ranges(static_cast<size_t>(num_shards));
-  const int base = total / num_shards;
-  const int extra = total % num_shards;
+  std::vector<ShardRange> ranges(static_cast<size_t>(shard_count));
+  const int base = total / shard_count;
+  const int extra = total % shard_count;
   int begin = 0;
-  for (int i = 0; i < num_shards; ++i) {
+  for (int i = 0; i < shard_count; ++i) {
     const int size = base + (i < extra ? 1 : 0);
     ranges[static_cast<size_t>(i)] = ShardRange{begin, begin + size};
     begin += size;

@@ -16,13 +16,13 @@ struct ShardRange {
   int size() const { return end - begin; }
 };
 
-/// Splits [0, total) into `num_shards` near-equal contiguous ranges: the
-/// first total % num_shards shards get one extra user. Deterministic, so
+/// Splits [0, total) into `shard_count` near-equal contiguous ranges: the
+/// first total % shard_count shards get one extra user. Deterministic, so
 /// every process (CLI, backends, router, bench) derives the same partition
-/// from (total, num_shards) alone — no partition map is ever persisted or
-/// exchanged. num_shards < 1 is treated as 1; shards beyond `total` come
+/// from (total, shard_count) alone — no partition map is ever persisted or
+/// exchanged. shard_count < 1 is treated as 1; shards beyond `total` come
 /// back empty.
-std::vector<ShardRange> ComputeShardRanges(int total, int num_shards);
+std::vector<ShardRange> ComputeShardRanges(int total, int shard_count);
 
 /// Snapshot path of shard i of n derived from the unsharded snapshot path:
 /// a trailing ".dhix" is stripped and ".shard-<i>-of-<n>.dhix" appended

@@ -1,31 +1,39 @@
 # End-to-end smoke test of the dehealth_cli binary, including the indexed
-# attack path and the strict-flag-parsing error paths.
+# attack path and the strict-flag-parsing error paths (which dehealth_serve
+# shares).
 #
-# Usage: cmake -DCLI=<dehealth_cli> -DWORK_DIR=<scratch dir> -P smoke_test.cmake
+# Usage: cmake -DCLI=<dehealth_cli> -DSERVE=<dehealth_serve>
+#              -DWORK_DIR=<scratch dir> -P smoke_test.cmake
 
-if(NOT DEFINED CLI OR NOT DEFINED WORK_DIR)
-  message(FATAL_ERROR "smoke_test.cmake requires -DCLI=... and -DWORK_DIR=...")
+if(NOT DEFINED CLI OR NOT DEFINED SERVE OR NOT DEFINED WORK_DIR)
+  message(FATAL_ERROR
+    "smoke_test.cmake requires -DCLI=..., -DSERVE=... and -DWORK_DIR=...")
 endif()
 
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
-# run_cli(<expect_rc> <args...>): run the CLI, assert the exit code, and
-# expose stdout/stderr as RUN_OUT/RUN_ERR in the parent scope.
-function(run_cli expect_rc)
+# run_bin(<binary> <expect_rc> <args...>): run a binary, assert the exit
+# code, and expose stdout/stderr as RUN_OUT/RUN_ERR in the parent scope.
+function(run_bin binary expect_rc)
   execute_process(
-    COMMAND "${CLI}" ${ARGN}
+    COMMAND "${binary}" ${ARGN}
     RESULT_VARIABLE rc
     OUTPUT_VARIABLE out
     ERROR_VARIABLE err)
   if(NOT rc EQUAL expect_rc)
     message(FATAL_ERROR
-      "dehealth_cli ${ARGN}: expected exit ${expect_rc}, got ${rc}\n"
+      "${binary} ${ARGN}: expected exit ${expect_rc}, got ${rc}\n"
       "stdout: ${out}\nstderr: ${err}")
   endif()
   set(RUN_OUT "${out}" PARENT_SCOPE)
   set(RUN_ERR "${err}" PARENT_SCOPE)
 endfunction()
+
+# run_cli(<expect_rc> <args...>): run_bin on dehealth_cli.
+macro(run_cli expect_rc)
+  run_bin("${CLI}" ${expect_rc} ${ARGN})
+endmacro()
 
 # --- happy path: generate -> split -> attack with the candidate index ----
 run_cli(0 generate --preset webmd --users 60 --seed 7
@@ -103,6 +111,18 @@ run_cli(1 attack --anonymized "${WORK_DIR}/anon.jsonl"
         --auxiliary "${WORK_DIR}/aux.jsonl" --max-candidates -1)
 if(NOT RUN_ERR MATCHES "unknown flag --max-candidates")
   message(FATAL_ERROR "retired --max-candidates not rejected: ${RUN_ERR}")
+endif()
+# In-process sharding is retired: --shards is an unknown flag on both the
+# CLI and the server (fleet slices use --shard-index/--shard-count).
+run_cli(1 attack --anonymized "${WORK_DIR}/anon.jsonl"
+        --auxiliary "${WORK_DIR}/aux.jsonl" --shards 2)
+if(NOT RUN_ERR MATCHES "unknown flag --shards")
+  message(FATAL_ERROR "retired --shards not rejected by the CLI: ${RUN_ERR}")
+endif()
+run_bin("${SERVE}" 1 --anonymized "${WORK_DIR}/anon.jsonl"
+        --auxiliary "${WORK_DIR}/aux.jsonl" --shards 2)
+if(NOT RUN_ERR MATCHES "unknown flag --shards")
+  message(FATAL_ERROR "retired --shards not rejected by serve: ${RUN_ERR}")
 endif()
 # Graceful degradation: an unusable index snapshot path must not take the
 # attack down — it warns and falls back to the dense similarity path, and

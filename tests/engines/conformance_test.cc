@@ -2,7 +2,8 @@
 // blind, and community alike, all through BuildAttackScoreSource (the one
 // place every score-source mode meets):
 //   - bitwise-identical scores and candidate sets for 1/4/8 threads;
-//   - --shards {1,2,3} merged answers bitwise-equal to unsharded;
+//   - the slices of a --shard-count {2,3} fleet, re-anchored and merged
+//     with MergeScoredTopK as the router does, bitwise-equal to unsharded;
 //   - checkpointed job runs (fresh AND resumed-from-complete) equal to
 //     the one-shot pipeline;
 //   - a job directory written under one engine fails closed under
@@ -10,11 +11,13 @@
 //   - empty and singleton universes handled without faults.
 
 #include <cmath>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/top_k.h"
 #include "datagen/forum_generator.h"
 #include "datagen/split.h"
 #include "index/pipeline.h"
@@ -24,13 +27,11 @@
 namespace dehealth {
 namespace {
 
-DeHealthConfig EngineConfig(EngineKind engine, int num_threads = 1,
-                            int num_shards = 1) {
+DeHealthConfig EngineConfig(EngineKind engine, int num_threads = 1) {
   DeHealthConfig config;
   config.engine = engine;
   config.top_k = 5;
   config.num_threads = num_threads;
-  config.num_shards = num_shards;
   config.refined.learner = LearnerKind::kNearestCentroid;
   return config;
 }
@@ -91,25 +92,56 @@ TEST_P(EngineConformanceTest, TopKIdenticalAcrossThreadCounts) {
   }
 }
 
+/// What a router answers over the fleet `slices`: each slice's scored
+/// Top-K (Row + TopKForRow, re-anchored at shard_begin) for every user,
+/// merged with MergeScoredTopK.
+CandidateSets FleetTopK(
+    const std::vector<std::unique_ptr<AttackScoreSource>>& slices,
+    const std::vector<int>& users, int k) {
+  CandidateSets merged;
+  std::vector<double> scratch;
+  for (const int u : users) {
+    std::vector<std::vector<ScoredUser>> per_shard;
+    for (const auto& slice : slices) {
+      const std::vector<double>& row = slice->source->Row(u, &scratch);
+      per_shard.emplace_back();
+      for (const int v : TopKForRow(row, k))
+        per_shard.back().push_back(
+            ScoredUser{row[static_cast<size_t>(v)], v + slice->shard_begin});
+    }
+    merged.emplace_back();
+    for (const ScoredUser& c : MergeScoredTopK(per_shard, k))
+      merged.back().push_back(c.user);
+  }
+  return merged;
+}
+
 TEST_P(EngineConformanceTest, ShardedAnswersEqualUnsharded) {
   auto whole = BuildAttackScoreSource(*anon_, *aux_,
-                                      EngineConfig(GetParam(), 2, 1));
+                                      EngineConfig(GetParam(), 2));
   ASSERT_TRUE(whole.ok());
   auto golden = (*whole)->source->TopK(5, 2);
   ASSERT_TRUE(golden.ok());
   const std::vector<int> probe = {0, 3, anon_->num_users() - 1};
   auto golden_probe = (*whole)->source->TopKForUsers(probe, 5, 2);
   ASSERT_TRUE(golden_probe.ok());
-  for (const int shards : {2, 3}) {
-    auto sharded = BuildAttackScoreSource(
-        *anon_, *aux_, EngineConfig(GetParam(), 2, shards));
-    ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-    auto merged = (*sharded)->source->TopK(5, 2);
-    ASSERT_TRUE(merged.ok());
-    EXPECT_EQ(*golden, *merged) << shards << " shards";
-    auto merged_probe = (*sharded)->source->TopKForUsers(probe, 5, 2);
-    ASSERT_TRUE(merged_probe.ok());
-    EXPECT_EQ(*golden_probe, *merged_probe) << shards << " shards";
+  std::vector<int> everyone(static_cast<size_t>(anon_->num_users()));
+  for (size_t u = 0; u < everyone.size(); ++u)
+    everyone[u] = static_cast<int>(u);
+  for (const int shard_count : {2, 3}) {
+    std::vector<std::unique_ptr<AttackScoreSource>> slices;
+    for (int i = 0; i < shard_count; ++i) {
+      DeHealthConfig config = EngineConfig(GetParam(), 2);
+      config.shard_index = i;
+      config.shard_count = shard_count;
+      auto slice = BuildAttackScoreSource(*anon_, *aux_, config);
+      ASSERT_TRUE(slice.ok()) << slice.status().ToString();
+      slices.push_back(std::move(slice).value());
+    }
+    EXPECT_EQ(*golden, FleetTopK(slices, everyone, 5))
+        << shard_count << " shards";
+    EXPECT_EQ(*golden_probe, FleetTopK(slices, probe, 5))
+        << shard_count << " shards";
   }
 }
 
