@@ -132,8 +132,8 @@ const std::vector<FlagDoc>& FlagCatalog() {
        "Posts of --tail already covered by --base plus --segments; the "
        "segment starts after them (default: computed from base+segments)"},
       {"threads", "cli attack, serve", false,
-       "Worker threads (0 = all hardware threads); results are identical "
-       "for any value"},
+       "Worker threads (0 = all hardware threads) for feature extraction "
+       "and scoring; results are identical for any value"},
       {"timeout-ms", "cli attack, serve, router, query", false,
        "Server-side queue-wait deadline per request (0 = none)"},
       {"trace-out", "cli attack, serve", false,

@@ -1,12 +1,43 @@
 #include "core/uda_graph.h"
 
+#include "common/parallel.h"
 #include "obs/standard_metrics.h"
 #include "obs/trace.h"
 #include "stylo/extractor.h"
 
 namespace dehealth {
 
-UdaGraph BuildUdaGraph(const ForumDataset& dataset) {
+namespace {
+
+/// Extracts the features of `posts` across up to `num_threads` threads,
+/// each post into its own slot, then folds the slots into `uda` serially in
+/// post order — so every user's AddPost sequence, and with it the result,
+/// is the same for any thread count. The folding thread stores a copy of
+/// each slot (exact capacity) and releases the slot: vectors allocated by
+/// pool workers would otherwise stay resident in their per-thread malloc
+/// arenas for the life of the graph.
+void ExtractAndFold(const std::vector<Post>& posts, int num_threads,
+                    UdaGraph* uda) {
+  const FeatureExtractor extractor;
+  std::vector<SparseVector> slots(posts.size());
+  ParallelFor(
+      0, static_cast<int64_t>(posts.size()),
+      [&](int64_t i) {
+        const auto p = static_cast<size_t>(i);
+        slots[p] = extractor.ExtractPost(posts[p].text);
+      },
+      num_threads);
+  for (size_t p = 0; p < posts.size(); ++p) {
+    const auto uid = static_cast<size_t>(posts[p].user_id);
+    uda->profiles[uid].AddPost(slots[p]);
+    uda->post_features[uid].push_back(slots[p]);
+    slots[p] = SparseVector();
+  }
+}
+
+}  // namespace
+
+UdaGraph BuildUdaGraph(const ForumDataset& dataset, int num_threads) {
   obs::Span span("core", "build_uda_graph");
   span.SetArg("posts", static_cast<int64_t>(dataset.posts.size()));
   obs::CoreMetrics& metrics = obs::GetCoreMetrics();
@@ -16,14 +47,7 @@ UdaGraph BuildUdaGraph(const ForumDataset& dataset) {
   uda.graph = BuildCorrelationGraph(dataset);
   uda.profiles.resize(static_cast<size_t>(dataset.num_users));
   uda.post_features.resize(static_cast<size_t>(dataset.num_users));
-
-  const FeatureExtractor extractor;
-  for (const Post& post : dataset.posts) {
-    SparseVector features = extractor.ExtractPost(post.text);
-    const auto uid = static_cast<size_t>(post.user_id);
-    uda.profiles[uid].AddPost(features);
-    uda.post_features[uid].push_back(std::move(features));
-  }
+  ExtractAndFold(dataset.posts, num_threads, &uda);
   return uda;
 }
 
@@ -53,16 +77,14 @@ Status ApplyPostsToUdaGraph(UdaGraph* uda, ForumDataset* dataset,
   metrics.uda_posts->Increment(new_posts.size());
   dataset->num_users = num_users_after;
   dataset->num_threads = num_threads_after;
+  dataset->posts.insert(dataset->posts.end(), new_posts.begin(),
+                        new_posts.end());
   uda->profiles.resize(static_cast<size_t>(num_users_after));
   uda->post_features.resize(static_cast<size_t>(num_users_after));
-  const FeatureExtractor extractor;
-  for (const Post& post : new_posts) {
-    dataset->posts.push_back(post);
-    SparseVector features = extractor.ExtractPost(post.text);
-    const auto uid = static_cast<size_t>(post.user_id);
-    uda->profiles[uid].AddPost(features);
-    uda->post_features[uid].push_back(std::move(features));
-  }
+  // Serial on purpose: the writer applying a segment shares the host with
+  // the query path, and a segment's freshness is set by the seal cadence,
+  // not by how fast its posts are extracted.
+  ExtractAndFold(new_posts, 1, uda);
   // The graph is rebuilt from the accumulated dataset rather than patched:
   // BuildCorrelationGraph keys on thread->participant sets (order-free), so
   // the rebuild is bitwise what a from-scratch build would produce, and it

@@ -27,8 +27,11 @@ struct UdaGraph {
 
 /// Builds the UDA graph of a dataset: extracts Table-I features from every
 /// post, aggregates per-user attributes, and constructs the co-thread
-/// correlation graph. Cost: one extraction pass over all posts.
-UdaGraph BuildUdaGraph(const ForumDataset& dataset);
+/// correlation graph. Cost: one extraction pass over all posts, run across
+/// up to `num_threads` threads (0 = all hardware threads). The result is
+/// bitwise-identical for every thread count: posts are extracted into
+/// per-post slots and folded into the profiles serially, in post order.
+UdaGraph BuildUdaGraph(const ForumDataset& dataset, int num_threads = 0);
 
 /// Streaming-ingest entry point: appends `new_posts` to `dataset` (growing
 /// it to `num_users_after`/`num_threads_after`), extracts features for the
@@ -40,8 +43,8 @@ UdaGraph BuildUdaGraph(const ForumDataset& dataset);
 /// sequences are identical (the full dataset lists base posts before
 /// appended posts), and BuildCorrelationGraph is insertion-order-
 /// independent by construction. Only the feature-extraction cost of the
-/// new posts is paid. Fails if any new post's ids fall outside the
-/// after-bounds or the bounds shrink.
+/// new posts is paid, on the calling thread alone. Fails if any new post's
+/// ids fall outside the after-bounds or the bounds shrink.
 Status ApplyPostsToUdaGraph(UdaGraph* uda, ForumDataset* dataset,
                             const std::vector<Post>& new_posts,
                             int num_users_after, int num_threads_after);

@@ -8,9 +8,10 @@
 namespace dehealth {
 namespace ingest {
 
-IngestState IngestState::FromDataset(ForumDataset dataset) {
+IngestState IngestState::FromDataset(ForumDataset dataset, int num_threads) {
   IngestState state;
-  state.uda_ = BuildUdaGraph(dataset);
+  state.uda_ = BuildUdaGraph(dataset, num_threads);
+  state.num_threads_ = num_threads;
   state.dataset_ = std::move(dataset);
   return state;
 }
@@ -71,7 +72,7 @@ Status IngestState::Apply(const DeltaSegment& segment) {
   dataset_.posts.resize(base_posts);
   dataset_.num_users = base_users;
   dataset_.num_threads = base_threads;
-  uda_ = BuildUdaGraph(dataset_);
+  uda_ = BuildUdaGraph(dataset_, num_threads_);
   if (fingerprint() != current) {
     poisoned_ = true;
     return Status::Internal(

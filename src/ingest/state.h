@@ -21,8 +21,11 @@ namespace ingest {
 /// notion.
 class IngestState {
  public:
-  /// Builds the state of a base forum (one full feature-extraction pass).
-  static IngestState FromDataset(ForumDataset dataset);
+  /// Builds the state of a base forum (one full feature-extraction pass
+  /// across up to `num_threads` threads, 0 = all hardware threads). The
+  /// same thread bound applies to the full rebuild a rolled-back Apply
+  /// pays; applying new posts is always serial (ApplyPostsToUdaGraph).
+  static IngestState FromDataset(ForumDataset dataset, int num_threads = 0);
 
   /// Applies one delta segment: validates the parent fingerprint against
   /// the current state (FailedPrecondition on mismatch — the segment was
@@ -57,6 +60,7 @@ class IngestState {
  private:
   ForumDataset dataset_;
   UdaGraph uda_;
+  int num_threads_ = 0;
   bool poisoned_ = false;
 };
 

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fcntl.h>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <unistd.h>
@@ -16,10 +17,22 @@ StatusOr<std::string> ReadFileToString(const std::string& path) {
   DEHEALTH_RETURN_IF_ERROR(InjectFaultPoint("file.read"));
   std::ifstream file(path, std::ios::binary);
   if (!file) return Status::NotFound("cannot open for reading: " + path);
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
+  // One read into a string sized from the file, not a stream copy into a
+  // growing buffer and a second copy out of it.
+  std::string content;
+  std::error_code size_error;
+  const uintmax_t size = std::filesystem::file_size(path, size_error);
+  if (!size_error) content.resize(static_cast<size_t>(size));
+  file.read(content.data(), static_cast<std::streamsize>(content.size()));
+  content.resize(static_cast<size_t>(file.gcount()));
+  if (file) {
+    // Whatever the size did not cover: a file that grew since, or one that
+    // has no size (a pipe, a directory) — streamed as before.
+    std::ostringstream rest;
+    rest << file.rdbuf();
+    content += rest.str();
+  }
   if (file.bad()) return Status::Internal("read error: " + path);
-  std::string content = buffer.str();
   // Simulated media corruption / torn read: downstream decoders must catch
   // this via checksums or parse validation, never crash.
   InjectDataFault("file.read.data", &content);

@@ -1,8 +1,9 @@
 #include "io/forum_io.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
-#include <sstream>
+#include <string_view>
 
 #include "common/fault_injection.h"
 #include "common/string_utils.h"
@@ -87,12 +88,12 @@ namespace {
 
 /// Minimal field scanner for our fixed one-line-object schema. Finds
 /// `"key":` and returns the raw value span (number or quoted string body).
-StatusOr<std::string> FindRawValue(const std::string& line,
+StatusOr<std::string> FindRawValue(std::string_view line,
                                    const std::string& key,
                                    bool* is_string = nullptr) {
   const std::string needle = "\"" + key + "\"";
   size_t pos = line.find(needle);
-  if (pos == std::string::npos)
+  if (pos == std::string_view::npos)
     return Status::InvalidArgument("missing field: " + key);
   pos += needle.size();
   while (pos < line.size() &&
@@ -102,30 +103,27 @@ StatusOr<std::string> FindRawValue(const std::string& line,
     return Status::InvalidArgument("truncated field: " + key);
   if (line[pos] == '"') {
     // Quoted string: scan to the closing unescaped quote.
-    std::string body;
-    ++pos;
+    const size_t start = ++pos;
     while (pos < line.size()) {
       if (line[pos] == '\\' && pos + 1 < line.size()) {
-        body += line[pos];
-        body += line[pos + 1];
         pos += 2;
         continue;
       }
       if (line[pos] == '"') {
         if (is_string != nullptr) *is_string = true;
-        return body;
+        return std::string(line.substr(start, pos - start));
       }
-      body += line[pos++];
+      ++pos;
     }
     return Status::InvalidArgument("unterminated string for: " + key);
   }
   // Number: scan digits/sign.
-  std::string number;
+  const size_t start = pos;
   while (pos < line.size() &&
          (std::isdigit(static_cast<unsigned char>(line[pos])) ||
           line[pos] == '-'))
-    number += line[pos++];
-  if (number.empty())
+    ++pos;
+  if (pos == start)
     return Status::InvalidArgument("empty value for: " + key);
   // An integer must end at a field boundary: "1.5" or "12abc" silently
   // truncated to 1 / 12 would corrupt counts instead of failing loudly.
@@ -135,10 +133,10 @@ StatusOr<std::string> FindRawValue(const std::string& line,
         StrFormat("malformed number for: %s (unexpected '%c')", key.c_str(),
                   line[pos]));
   if (is_string != nullptr) *is_string = false;
-  return number;
+  return std::string(line.substr(start, pos - start));
 }
 
-StatusOr<int> FindIntValue(const std::string& line, const std::string& key) {
+StatusOr<int> FindIntValue(std::string_view line, const std::string& key) {
   StatusOr<std::string> raw = FindRawValue(line, key);
   if (!raw.ok()) return raw.status();
   errno = 0;
@@ -172,6 +170,18 @@ namespace {
 constexpr int kMaxHeaderCount = 100'000'000;
 constexpr size_t kMaxLineBytes = 16u << 20;
 
+/// Cuts the next line of `text` at or after `*pos` into `*line` and moves
+/// `*pos` past it; false once `text` is used up. Splits as std::getline
+/// does: a '\r' before the '\n' stays in the line, a final line without
+/// '\n' counts, and the empty remainder after a final '\n' does not.
+bool NextLine(std::string_view text, size_t* pos, std::string_view* line) {
+  if (*pos >= text.size()) return false;
+  const size_t end = std::min(text.find('\n', *pos), text.size());
+  *line = text.substr(*pos, end - *pos);
+  *pos = end + 1;
+  return true;
+}
+
 /// "forum dataset 'path' (line N): what" — every parse failure names the
 /// file it came from (when known) and the line where parsing stopped.
 Status ParseError(const std::string& path, int line, const std::string& what,
@@ -186,18 +196,18 @@ Status ParseError(const std::string& path, int line, const std::string& what,
 
 StatusOr<ForumDataset> ForumDatasetFromJsonl(const std::string& jsonl,
                                              const std::string& path) {
-  std::istringstream stream(jsonl);
-  std::string line;
+  size_t next = 0;
+  std::string_view line;
   ForumDataset dataset;
   bool have_header = false;
   int line_number = 0;
-  while (std::getline(stream, line)) {
+  while (NextLine(jsonl, &next, &line)) {
     ++line_number;
     if (line.size() > kMaxLineBytes)
       return ParseError(path, line_number,
                         "line exceeds " + std::to_string(kMaxLineBytes) +
                             " bytes (binary garbage?)");
-    if (line.find('\0') != std::string::npos)
+    if (line.find('\0') != std::string_view::npos)
       return ParseError(path, line_number,
                         "NUL byte in input (binary garbage?)");
     if (TrimAscii(line).empty()) continue;
@@ -258,25 +268,25 @@ StatusOr<ForumDataset> ForumDatasetFromJsonl(const std::string& jsonl,
 StatusOr<std::vector<Post>> TailPostsFromJsonl(const std::string& jsonl,
                                                size_t skip_posts,
                                                const std::string& path) {
-  std::istringstream stream(jsonl);
-  std::string line;
+  size_t next = 0;
+  std::string_view line;
   std::vector<Post> posts;
   size_t seen_posts = 0;
   int line_number = 0;
-  while (std::getline(stream, line)) {
+  while (NextLine(jsonl, &next, &line)) {
     ++line_number;
     if (line.size() > kMaxLineBytes)
       return ParseError(path, line_number,
                         "line exceeds " + std::to_string(kMaxLineBytes) +
                             " bytes (binary garbage?)");
-    if (line.find('\0') != std::string::npos)
+    if (line.find('\0') != std::string_view::npos)
       return ParseError(path, line_number,
                         "NUL byte in input (binary garbage?)");
     if (TrimAscii(line).empty()) continue;
     // A full forum file starts with a header line; a tail fragment has
     // none. Accept both by skipping anything that parses as a header.
-    if (line.find("\"num_users\"") != std::string::npos &&
-        line.find("\"user_id\"") == std::string::npos) {
+    if (line.find("\"num_users\"") != std::string_view::npos &&
+        line.find("\"user_id\"") == std::string_view::npos) {
       StatusOr<int> users = FindIntValue(line, "num_users");
       if (users.ok()) continue;
     }

@@ -92,7 +92,42 @@ void SparseVector::Scale(double factor) {
 }
 
 void SparseVector::AddVector(const SparseVector& other) {
-  for (const auto& [id, v] : other.entries_) Add(id, v);
+  // Per id this is exactly Add(id, v) — the same single addition, the same
+  // cancellation to absent — done as one merge walk over both sorted lists
+  // that adds in place, then one exact-size rebuild only when ids are new
+  // or sums cancelled.
+  size_t missing = 0;
+  size_t cancelled = 0;
+  auto a = entries_.begin();
+  for (const auto& [id, v] : other.entries_) {
+    if (v == 0.0) continue;
+    while (a != entries_.end() && a->first < id) ++a;
+    if (a != entries_.end() && a->first == id) {
+      a->second += v;
+      if (a->second == 0.0) ++cancelled;
+      ++a;
+    } else {
+      ++missing;
+    }
+  }
+  if (missing == 0 && cancelled == 0) return;
+  std::vector<std::pair<int, double>> merged;
+  merged.reserve(entries_.size() + missing - cancelled);
+  a = entries_.begin();
+  const auto keep = [&merged](const std::pair<int, double>& e) {
+    if (e.second != 0.0) merged.push_back(e);
+  };
+  for (const auto& [id, v] : other.entries_) {
+    if (v == 0.0) continue;
+    while (a != entries_.end() && a->first < id) keep(*a++);
+    if (a != entries_.end() && a->first == id) {
+      keep(*a++);
+    } else {
+      merged.emplace_back(id, v);
+    }
+  }
+  for (; a != entries_.end(); ++a) keep(*a);
+  entries_ = std::move(merged);
 }
 
 std::vector<double> SparseVector::ToDense(int dims) const {

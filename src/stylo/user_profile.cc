@@ -6,19 +6,46 @@ namespace dehealth {
 
 void UserProfile::AddPost(const SparseVector& post_features) {
   ++num_posts_;
+  // One merge walk over both id-sorted lists bumps the attributes the user
+  // already has; ids new to the user are merged in by one exact-size
+  // rebuild, skipped when there are none.
+  size_t missing = 0;
+  auto a = attribute_weights_.begin();
   for (const auto& [id, value] : post_features.entries()) {
-    if (value != 0.0) ++attribute_weights_[id];
+    if (value == 0.0) continue;
+    while (a != attribute_weights_.end() && a->first < id) ++a;
+    if (a != attribute_weights_.end() && a->first == id) {
+      ++(a++)->second;
+    } else {
+      ++missing;
+    }
+  }
+  if (missing > 0) {
+    std::vector<std::pair<int, int>> merged;
+    merged.reserve(attribute_weights_.size() + missing);
+    a = attribute_weights_.begin();
+    for (const auto& [id, value] : post_features.entries()) {
+      if (value == 0.0) continue;
+      while (a != attribute_weights_.end() && a->first < id)
+        merged.push_back(*a++);
+      if (a != attribute_weights_.end() && a->first == id) continue;
+      merged.emplace_back(id, 1);
+    }
+    merged.insert(merged.end(), a, attribute_weights_.end());
+    attribute_weights_ = std::move(merged);
   }
   sum_features_.AddVector(post_features);
 }
 
 bool UserProfile::HasAttribute(int id) const {
-  return attribute_weights_.count(id) > 0;
+  return AttributeWeight(id) > 0;
 }
 
 int UserProfile::AttributeWeight(int id) const {
-  auto it = attribute_weights_.find(id);
-  return it == attribute_weights_.end() ? 0 : it->second;
+  const auto it = std::lower_bound(
+      attribute_weights_.begin(), attribute_weights_.end(), id,
+      [](const std::pair<int, int>& e, int key) { return e.first < key; });
+  return it != attribute_weights_.end() && it->first == id ? it->second : 0;
 }
 
 SparseVector UserProfile::MeanFeatures() const {

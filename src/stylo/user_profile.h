@@ -1,7 +1,7 @@
 #ifndef DEHEALTH_STYLO_USER_PROFILE_H_
 #define DEHEALTH_STYLO_USER_PROFILE_H_
 
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "stylo/feature_vector.h"
@@ -29,7 +29,9 @@ class UserProfile {
   int AttributeWeight(int id) const;
 
   /// All (attribute id, weight) pairs, ordered by id.
-  const std::map<int, int>& attributes() const { return attribute_weights_; }
+  const std::vector<std::pair<int, int>>& attributes() const {
+    return attribute_weights_;
+  }
 
   /// Mean per-post feature vector (empty if no posts).
   SparseVector MeanFeatures() const;
@@ -39,7 +41,7 @@ class UserProfile {
 
  private:
   int num_posts_ = 0;
-  std::map<int, int> attribute_weights_;
+  std::vector<std::pair<int, int>> attribute_weights_;  // sorted by id
   SparseVector sum_features_;
 };
 

@@ -65,6 +65,20 @@ if(NOT first_run STREQUAL second_run)
   message(FATAL_ERROR "snapshot-reusing run changed predictions")
 endif()
 
+# --threads bounds feature extraction and scoring, never the answer: a
+# dense attack on one thread and on every hardware thread writes the same
+# predictions and candidates.
+foreach(threads 1 0)
+  run_cli(0 attack --anonymized "${WORK_DIR}/anon.jsonl"
+          --auxiliary "${WORK_DIR}/aux.jsonl" --k 5 --learner centroid
+          --threads ${threads} --out "${WORK_DIR}/pred_threads${threads}.csv")
+endforeach()
+file(READ "${WORK_DIR}/pred_threads1.csv" one_thread)
+file(READ "${WORK_DIR}/pred_threads0.csv" all_threads)
+if(NOT one_thread STREQUAL all_threads)
+  message(FATAL_ERROR "--threads 1 and --threads 0 predicted differently")
+endif()
+
 # --- observability: tracing and metrics must not perturb the attack -----
 # A traced run (Chrome trace + Prometheus metrics dump) must produce a
 # predictions CSV byte-identical to the untraced run above, and both

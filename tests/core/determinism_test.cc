@@ -1,6 +1,7 @@
 // Proves the threading contract from DESIGN.md: every parallel stage of
-// the DA pipeline produces bitwise-identical results for num_threads = 1
-// and num_threads = 8 on the same generated forum.
+// the DA pipeline, from feature extraction on, produces bitwise-identical
+// results for num_threads = 1 and num_threads = 8 (and more) on the same
+// generated forum.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 #include "datagen/forum_generator.h"
 #include "datagen/split.h"
 #include "graph/landmarks.h"
+#include "index/candidate_index.h"
 #include "theory/monte_carlo.h"
 
 namespace dehealth {
@@ -27,8 +29,10 @@ class DeterminismTest : public ::testing::Test {
     ASSERT_TRUE(forum.ok());
     auto scenario = MakeClosedWorldScenario(forum->dataset, 0.5, 5);
     ASSERT_TRUE(scenario.ok());
-    anon_ = new UdaGraph(BuildUdaGraph(scenario->anonymized));
-    aux_ = new UdaGraph(BuildUdaGraph(scenario->auxiliary));
+    anon_data_ = new ForumDataset(scenario->anonymized);
+    aux_data_ = new ForumDataset(scenario->auxiliary);
+    anon_ = new UdaGraph(BuildUdaGraph(*anon_data_));
+    aux_ = new UdaGraph(BuildUdaGraph(*aux_data_));
   }
 
   static std::vector<std::vector<double>> Matrix(int num_threads) {
@@ -37,12 +41,56 @@ class DeterminismTest : public ::testing::Test {
     return StructuralSimilarity(*anon_, *aux_, config).ComputeMatrix();
   }
 
+  static ForumDataset* anon_data_;
+  static ForumDataset* aux_data_;
   static UdaGraph* anon_;
   static UdaGraph* aux_;
 };
 
+ForumDataset* DeterminismTest::anon_data_ = nullptr;
+ForumDataset* DeterminismTest::aux_data_ = nullptr;
 UdaGraph* DeterminismTest::anon_ = nullptr;
 UdaGraph* DeterminismTest::aux_ = nullptr;
+
+/// Asserts two UDA graphs are equal field by field: per-post features,
+/// profiles, the correlation graph and the index fingerprint.
+void ExpectSameUda(const UdaGraph& expected, const UdaGraph& actual,
+                   const std::string& label) {
+  ASSERT_EQ(expected.num_users(), actual.num_users()) << label;
+  ASSERT_EQ(expected.profiles.size(), actual.profiles.size()) << label;
+  ASSERT_EQ(expected.post_features.size(), actual.post_features.size())
+      << label;
+  EXPECT_EQ(expected.graph.num_edges(), actual.graph.num_edges()) << label;
+  for (size_t u = 0; u < expected.profiles.size(); ++u) {
+    const auto node = static_cast<NodeId>(u);
+    ASSERT_EQ(expected.post_features[u], actual.post_features[u])
+        << label << " user " << u;  // bitwise ==
+    const UserProfile& a = expected.profiles[u];
+    const UserProfile& b = actual.profiles[u];
+    ASSERT_EQ(a.num_posts(), b.num_posts()) << label << " user " << u;
+    ASSERT_EQ(a.attributes(), b.attributes()) << label << " user " << u;
+    ASSERT_EQ(a.SumFeatures(), b.SumFeatures()) << label << " user " << u;
+    ASSERT_EQ(expected.graph.Neighbors(node), actual.graph.Neighbors(node))
+        << label << " user " << u;
+  }
+  EXPECT_EQ(FingerprintForIndex(expected), FingerprintForIndex(actual))
+      << label;
+}
+
+TEST_F(DeterminismTest, UdaGraphBitwiseIdenticalAcrossThreadCounts) {
+  for (const ForumDataset* dataset : {anon_data_, aux_data_}) {
+    const UdaGraph serial = BuildUdaGraph(*dataset, 1);
+    for (int threads : {2, 8, 0}) {
+      SCOPED_TRACE("num_threads = " + std::to_string(threads));
+      ExpectSameUda(serial, BuildUdaGraph(*dataset, threads),
+                    dataset == anon_data_ ? "anonymized" : "auxiliary");
+    }
+  }
+  // The fixture's graphs were built with the default (all hardware
+  // threads); every other test in this suite relies on them.
+  ExpectSameUda(BuildUdaGraph(*anon_data_, 1), *anon_, "fixture anonymized");
+  ExpectSameUda(BuildUdaGraph(*aux_data_, 1), *aux_, "fixture auxiliary");
+}
 
 TEST_F(DeterminismTest, SimilarityMatrixBitwiseIdenticalAcrossThreadCounts) {
   const auto serial = Matrix(1);

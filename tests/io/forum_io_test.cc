@@ -2,6 +2,8 @@
 
 #include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -110,6 +112,91 @@ TEST(ForumJsonlTest, ToleratesBlankLines) {
   auto r = ForumDatasetFromJsonl(with_blanks);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->posts.size(), 1u);
+}
+
+// Line splitting follows std::getline: '\n' ends a line, a final line
+// without one still counts, and the empty remainder after a final '\n'
+// is no line at all. These pin what datasets and what error lines every
+// shape of line ending gives.
+TEST(ForumJsonlTest, FinalLineWithoutNewline) {
+  const std::string header = "{\"num_users\": 2, \"num_threads\": 1}";
+  auto r = ForumDatasetFromJsonl(
+      header + "\n{\"user_id\": 1, \"thread_id\": 0, \"text\": \"end\"}");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->posts.size(), 1u);
+  EXPECT_EQ(r->posts[0].user_id, 1);
+  EXPECT_EQ(r->posts[0].text, "end");
+  auto header_only = ForumDatasetFromJsonl(header);
+  ASSERT_TRUE(header_only.ok());
+  EXPECT_EQ(header_only->num_users, 2);
+  EXPECT_TRUE(header_only->posts.empty());
+  auto bad = ForumDatasetFromJsonl(header + "\n\n{\"user_id\": 0}", "f");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().message(),
+            "forum dataset 'f' (line 3): missing field: thread_id");
+}
+
+TEST(ForumJsonlTest, CrlfLineEndings) {
+  const std::string jsonl =
+      "{\"num_users\": 2, \"num_threads\": 2}\r\n"
+      "{\"user_id\": 0, \"thread_id\": 1, \"text\": \"a\\r\\nb\"}\r\n"
+      "\r\n"
+      "{\"user_id\": 1, \"thread_id\": 0, \"text\": \"c\"}\r\n";
+  auto r = ForumDatasetFromJsonl(jsonl);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->num_threads, 2);
+  ASSERT_EQ(r->posts.size(), 2u);
+  EXPECT_EQ(r->posts[0].thread_id, 1);
+  EXPECT_EQ(r->posts[0].text, "a\r\nb");
+  EXPECT_EQ(r->posts[1].text, "c");
+  // The '\r' stays in the line, where it ends a number like a ','.
+  auto bad = ForumDatasetFromJsonl(
+      "{\"num_users\": 2, \"num_threads\": 2\r\n\r\n"
+      "{\"user_id\": 5, \"thread_id\": 1, \"text\": \"x\"}\r\n",
+      "f");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(bad.status().message(),
+            "forum dataset 'f' (line 3): user_id 5 out of range [0, 2)");
+  auto tail = TailPostsFromJsonl(
+      "{\"user_id\": 0, \"thread_id\": 1, \"text\": \"t\"}\r\n", 0);
+  ASSERT_TRUE(tail.ok()) << tail.status().ToString();
+  ASSERT_EQ(tail->size(), 1u);
+  EXPECT_EQ((*tail)[0].text, "t");
+}
+
+TEST(ForumJsonlTest, BlankAndTrailingEmptyLines) {
+  const std::string header = "{\"num_users\": 1, \"num_threads\": 1}\n";
+  const std::string post = "{\"user_id\": 0, \"thread_id\": 0, \"text\": \"p\"}\n";
+  auto r = ForumDatasetFromJsonl("\n \t\n" + header + "\n" + post + "\n\n");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->posts.size(), 1u);
+  // An error after blank lines names the line counting every blank one.
+  auto bad = ForumDatasetFromJsonl("\n\n" + header + "\n\n{}\n", "f");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().message(),
+            "forum dataset 'f' (line 6): missing field: user_id");
+  // No header: the line number is the count of lines seen, and a final
+  // '\n' opens no further line.
+  for (const auto& [jsonl, line] :
+       std::vector<std::pair<std::string, int>>{
+           {"", 0}, {"\n", 1}, {"\n\n", 2}, {" ", 1}, {"\r\n \r\n", 2}}) {
+    auto empty = ForumDatasetFromJsonl(jsonl, "f");
+    ASSERT_FALSE(empty.ok()) << '"' << jsonl << '"';
+    EXPECT_EQ(empty.status().message(),
+              "forum dataset 'f' (line " + std::to_string(line) +
+                  "): empty input (no header line)")
+        << '"' << jsonl << '"';
+  }
+  // The tail parser counts lines the same way.
+  auto tail = TailPostsFromJsonl(header + post + "\n" + post + "\n", 3, "t");
+  ASSERT_FALSE(tail.ok());
+  EXPECT_EQ(tail.status().message(),
+            "forum dataset 't' (line 5): tail holds 2 posts but 3 were "
+            "already ingested (file truncated or rotated?)");
+  auto tail_ok = TailPostsFromJsonl(header + post + "\n" + post, 1);
+  ASSERT_TRUE(tail_ok.ok()) << tail_ok.status().ToString();
+  EXPECT_EQ(tail_ok->size(), 1u);
 }
 
 TEST(ForumFileIoTest, SaveAndLoad) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+
 namespace dehealth {
 namespace {
 
@@ -104,6 +106,33 @@ TEST(SparseVectorTest, AddVectorMerges) {
   EXPECT_EQ(a.Get(1), 1.0);
   EXPECT_EQ(a.Get(2), 5.0);
   EXPECT_EQ(a.Get(4), 4.0);
+}
+
+// AddVector is one merge walk; it must be bitwise what adding each entry
+// with Add gives — the same single addition per id, the same cancellation
+// of sums that reach 0 — for overlapping, disjoint and cancelling inputs.
+TEST(SparseVectorTest, AddVectorEqualsEntryWiseAdd) {
+  const double values[] = {-2.0, -1.0, -0.5, 0.1, 0.2, 0.3, 0.5, 1.0, 2.0};
+  Rng rng(41);
+  const auto random_vector = [&](int dims) {
+    SparseVector v;
+    const int n = static_cast<int>(rng.NextBounded(12));
+    for (int i = 0; i < n; ++i)
+      v.Set(static_cast<int>(rng.NextBounded(static_cast<uint64_t>(dims))),
+            values[rng.NextBounded(9)]);
+    return v;
+  };
+  for (int trial = 0; trial < 2000; ++trial) {
+    const int dims = 1 + static_cast<int>(rng.NextBounded(24));
+    SparseVector merged = random_vector(dims);
+    SparseVector added = merged;
+    for (int step = 0; step < 4; ++step) {
+      const SparseVector other = random_vector(dims);
+      merged.AddVector(other);
+      for (const auto& [id, v] : other.entries()) added.Add(id, v);
+      ASSERT_EQ(merged, added) << "trial " << trial << " step " << step;
+    }
+  }
 }
 
 TEST(SparseVectorTest, ToDense) {

@@ -1,6 +1,12 @@
 #include "stylo/user_profile.h"
 
+#include <map>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "common/rng.h"
 
 namespace dehealth {
 namespace {
@@ -44,6 +50,36 @@ TEST(UserProfileTest, SumFeatures) {
   p.AddPost(MakeVector({{7, 1.0}}));
   p.AddPost(MakeVector({{7, 2.0}}));
   EXPECT_NEAR(p.SumFeatures().Get(7), 3.0, 1e-12);
+}
+
+// The attribute list is one id-sorted merge per post; it must hold exactly
+// the per-id post counts an ordered map of counters gives.
+TEST(UserProfileTest, AttributesEqualPerIdPostCounts) {
+  Rng rng(17);
+  for (int trial = 0; trial < 200; ++trial) {
+    UserProfile profile;
+    std::map<int, int> expected;
+    const int posts = static_cast<int>(rng.NextBounded(10));
+    for (int post = 0; post < posts; ++post) {
+      SparseVector features;
+      const int n = static_cast<int>(rng.NextBounded(15));
+      for (int i = 0; i < n; ++i)
+        features.Set(static_cast<int>(rng.NextBounded(40)),
+                     rng.NextDouble(0.5, 2.0));
+      for (const auto& [id, value] : features.entries()) ++expected[id];
+      profile.AddPost(features);
+    }
+    ASSERT_EQ(profile.num_posts(), posts);
+    const std::vector<std::pair<int, int>> counts(expected.begin(),
+                                                  expected.end());
+    EXPECT_EQ(profile.attributes(), counts) << "trial " << trial;
+    for (int id = 0; id < 40; ++id) {
+      const auto it = expected.find(id);
+      EXPECT_EQ(profile.AttributeWeight(id),
+                it == expected.end() ? 0 : it->second);
+      EXPECT_EQ(profile.HasAttribute(id), it != expected.end());
+    }
+  }
 }
 
 TEST(AttributeSimilarityTest, EmptyProfilesScoreZero) {
