@@ -181,6 +181,10 @@ int CmdAttack(const Args& args) {
   const std::string aux_path = args.Get("auxiliary");
   if (anon_path.empty() || aux_path.empty())
     return Fail("attack requires --anonymized and --auxiliary");
+  // Flags are checked before the (possibly large) datasets are loaded.
+  auto config_or = ParseAttackFlags(args);
+  if (!config_or.ok()) return Fail(config_or.status().ToString());
+  const DeHealthConfig& config = *config_or;
 
   // Tracing never touches an RNG stream or any result byte (see
   // src/obs/trace.h), so a traced run's outputs are bitwise-identical to
@@ -211,10 +215,6 @@ int CmdAttack(const Args& args) {
   if (!anon_data.ok()) return Fail(anon_data.status().ToString());
   auto aux_data = LoadForumDataset(aux_path);
   if (!aux_data.ok()) return Fail(aux_data.status().ToString());
-
-  auto config_or = ParseAttackFlags(args);
-  if (!config_or.ok()) return Fail(config_or.status().ToString());
-  const DeHealthConfig& config = *config_or;
 
   std::printf("building UDA graphs (%zu + %zu posts)...\n",
               anon_data->posts.size(), aux_data->posts.size());

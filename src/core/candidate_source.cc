@@ -1,6 +1,9 @@
 #include "core/candidate_source.h"
 
+#include <numeric>
+
 #include "common/parallel.h"
+#include "obs/trace.h"
 
 namespace dehealth {
 
@@ -28,6 +31,16 @@ StatusOr<CandidateSets> CandidateSource::TopKForUsers(
       },
       num_threads);
   return result;
+}
+
+StatusOr<CandidateSets> CandidateSource::TopK(int k, int num_threads) const {
+  if (k < 1)
+    return Status::InvalidArgument("CandidateSource::TopK: k must be >= 1");
+  obs::Span span("core", "select_top_k");
+  span.SetArg("rows", num_anonymized());
+  std::vector<int> users(static_cast<size_t>(num_anonymized()));
+  std::iota(users.begin(), users.end(), 0);
+  return TopKForUsers(users, k, num_threads);
 }
 
 DenseCandidateSource::DenseCandidateSource(

@@ -41,8 +41,9 @@ class CandidateSource {
   /// decreasing score with ties broken by smaller id — exactly what
   /// SelectTopKCandidates(kDirect) returns on the dense matrix. k must be
   /// >= 1. Row-parallel across num_threads (0 = hardware concurrency) with
-  /// thread-count-independent output.
-  virtual StatusOr<CandidateSets> TopK(int k, int num_threads) const = 0;
+  /// thread-count-independent output. The default is TopKForUsers over
+  /// every user, inside one core/select_top_k span.
+  virtual StatusOr<CandidateSets> TopK(int k, int num_threads) const;
 
   /// Batch entry point for the serving path: direct Top-K candidate lists
   /// for just the listed anonymized users — result[i] is bitwise-identical

@@ -97,7 +97,6 @@ StatusOr<DeHealthResult> DeHealth::RunWithSource(
     const UdaGraph& anonymized, const UdaGraph& auxiliary,
     const CandidateSource& scores) const {
   DeHealthResult result;
-  if (const auto* matrix = scores.DenseMatrix()) result.similarity = *matrix;
   DEHEALTH_RETURN_IF_ERROR(
       RunPhases(*this, anonymized, auxiliary, scores, result));
   return result;

@@ -116,9 +116,10 @@ class DeHealth {
 
   /// Runs phases 1b-2 against an externally provided score source (the
   /// dense matrix wrapped in a DenseCandidateSource, or the candidate
-  /// index). DeHealthResult::similarity is only populated when the source
-  /// exposes a dense matrix; graph-matching selection requires one and
-  /// fails with FailedPrecondition otherwise.
+  /// index). DeHealthResult::similarity is left empty — the source keeps
+  /// its matrix, so the caller moves it over if it wants it (as
+  /// RunDeHealthAttack does); graph-matching selection requires a dense
+  /// source and fails with FailedPrecondition otherwise.
   StatusOr<DeHealthResult> RunWithSource(const UdaGraph& anonymized,
                                          const UdaGraph& auxiliary,
                                          const CandidateSource& scores) const;

@@ -73,75 +73,101 @@ double FlattenedAttributeSimilarity(
   return FlattenedAttributeSimilarityImpl(a, b);
 }
 
+UserFeatureView ViewOf(const IndexedUserFeatures& f) {
+  UserFeatureView view;
+  view.degree = f.degree;
+  view.weighted_degree = f.weighted_degree;
+  view.ncs = &f.ncs;
+  view.hop = &f.hop;
+  view.weighted_hop = &f.weighted_hop;
+  view.attributes = &f.attributes;
+  return view;
+}
+
+IdfTable ComputeIdfTable(const UdaGraph& auxiliary) {
+  std::unordered_map<int, int> document_frequency;
+  for (const UserProfile& profile : auxiliary.profiles)
+    for (const auto& [id, weight] : profile.attributes())
+      ++document_frequency[id];
+  const double n2 = static_cast<double>(auxiliary.num_users());
+  IdfTable idf;
+  idf.table.reserve(document_frequency.size());
+  for (const auto& [id, df] : document_frequency)
+    idf.table.emplace_back(
+        id, std::log((1.0 + n2) / (1.0 + static_cast<double>(df))));
+  std::sort(idf.table.begin(), idf.table.end());
+  idf.default_idf = std::log((1.0 + n2) / (1.0 + 0.0));
+  return idf;
+}
+
+std::vector<IndexedUserFeatures> ComputeUserFeatures(const UdaGraph& side,
+                                                     int num_landmarks,
+                                                     int num_threads,
+                                                     const IdfTable& idf) {
+  const int n = side.num_users();
+  const LandmarkIndex landmarks(side.graph, num_landmarks, num_threads);
+  std::vector<IndexedUserFeatures> features(static_cast<size_t>(n));
+  for (NodeId u = 0; u < n; ++u) {
+    IndexedUserFeatures& f = features[static_cast<size_t>(u)];
+    f.degree = side.graph.Degree(u);
+    f.weighted_degree = side.graph.WeightedDegree(u);
+    f.ncs = side.graph.NcsVector(u);
+    f.hop = landmarks.HopVector(u);
+    f.weighted_hop = landmarks.WeightedVector(u);
+    const auto& attributes =
+        side.profiles[static_cast<size_t>(u)].attributes();
+    f.attributes.reserve(attributes.size());
+    // Both lists are sorted by id: one forward walk finds every weight.
+    auto entry = idf.table.begin();
+    for (const auto& [id, weight] : attributes) {
+      while (entry != idf.table.end() && entry->first < id) ++entry;
+      const double scale = entry != idf.table.end() && entry->first == id
+                               ? entry->second
+                               : idf.default_idf;
+      f.attributes.emplace_back(id, weight * scale);
+    }
+  }
+  return features;
+}
+
 StructuralSimilarity::StructuralSimilarity(const UdaGraph& anonymized,
                                            const UdaGraph& auxiliary,
                                            SimilarityConfig config)
-    : anonymized_(anonymized), auxiliary_(auxiliary), config_(config) {
-  // Attribute document frequencies over the auxiliary side (IDF mode).
-  std::unordered_map<int, int> document_frequency;
-  if (config_.idf_weight_attributes) {
-    for (const UserProfile& profile : auxiliary_.profiles)
-      for (const auto& [id, weight] : profile.attributes())
-        ++document_frequency[id];
-  }
-  const double n2 = static_cast<double>(auxiliary_.num_users());
-  auto idf = [&](int id) {
-    if (!config_.idf_weight_attributes) return 1.0;
-    auto it = document_frequency.find(id);
-    const double df = it == document_frequency.end() ? 0.0 : it->second;
-    return std::log((1.0 + n2) / (1.0 + df));
-  };
-
-  const UdaGraph* sides[2] = {&anonymized_, &auxiliary_};
-  for (int s = 0; s < 2; ++s) {
-    const UdaGraph& side = *sides[s];
-    const int n = side.num_users();
-    const LandmarkIndex landmarks(side.graph, config_.num_landmarks,
-                                  config_.num_threads);
-    hop_vectors_[s].reserve(static_cast<size_t>(n));
-    weighted_vectors_[s].reserve(static_cast<size_t>(n));
-    ncs_vectors_[s].reserve(static_cast<size_t>(n));
-    attributes_[s].reserve(static_cast<size_t>(n));
-    for (NodeId u = 0; u < n; ++u) {
-      hop_vectors_[s].push_back(landmarks.HopVector(u));
-      weighted_vectors_[s].push_back(landmarks.WeightedVector(u));
-      ncs_vectors_[s].push_back(side.graph.NcsVector(u));
-      std::vector<std::pair<int, double>> scaled;
-      for (const auto& [id, weight] :
-           side.profiles[static_cast<size_t>(u)].attributes())
-        scaled.emplace_back(id, weight * idf(id));
-      attributes_[s].push_back(std::move(scaled));
-    }
-  }
+    : config_(config) {
+  const IdfTable idf = config_.idf_weight_attributes
+                           ? ComputeIdfTable(auxiliary)
+                           : IdfTable{};
+  features_[0] = ComputeUserFeatures(anonymized, config_.num_landmarks,
+                                     config_.num_threads, idf);
+  features_[1] = ComputeUserFeatures(auxiliary, config_.num_landmarks,
+                                     config_.num_threads, idf);
 }
 
 int StructuralSimilarity::num_anonymized() const {
-  return anonymized_.num_users();
+  return static_cast<int>(features_[0].size());
 }
 int StructuralSimilarity::num_auxiliary() const {
-  return auxiliary_.num_users();
+  return static_cast<int>(features_[1].size());
 }
 
 double StructuralSimilarity::DegreeSimilarity(NodeId u, NodeId v) const {
-  const double du = anonymized_.graph.Degree(u);
-  const double dv = auxiliary_.graph.Degree(v);
-  const double wdu = anonymized_.graph.WeightedDegree(u);
-  const double wdv = auxiliary_.graph.WeightedDegree(v);
-  return MinMaxRatio(du, dv) + MinMaxRatio(wdu, wdv) +
-         CosineSimilarity(ncs_vectors_[0][static_cast<size_t>(u)],
-                          ncs_vectors_[1][static_cast<size_t>(v)]);
+  const IndexedUserFeatures& fu = Anonymized(u);
+  const IndexedUserFeatures& fv = Auxiliary(v);
+  return MinMaxRatio(fu.degree, fv.degree) +
+         MinMaxRatio(fu.weighted_degree, fv.weighted_degree) +
+         CosineSimilarity(fu.ncs, fv.ncs);
 }
 
 double StructuralSimilarity::DistanceSimilarity(NodeId u, NodeId v) const {
-  return CosineSimilarity(hop_vectors_[0][static_cast<size_t>(u)],
-                          hop_vectors_[1][static_cast<size_t>(v)]) +
-         CosineSimilarity(weighted_vectors_[0][static_cast<size_t>(u)],
-                          weighted_vectors_[1][static_cast<size_t>(v)]);
+  const IndexedUserFeatures& fu = Anonymized(u);
+  const IndexedUserFeatures& fv = Auxiliary(v);
+  return CosineSimilarity(fu.hop, fv.hop) +
+         CosineSimilarity(fu.weighted_hop, fv.weighted_hop);
 }
 
 double StructuralSimilarity::AttrSimilarity(NodeId u, NodeId v) const {
-  return FlattenedAttributeSimilarity(attributes_[0][static_cast<size_t>(u)],
-                                      attributes_[1][static_cast<size_t>(v)]);
+  return FlattenedAttributeSimilarity(Anonymized(u).attributes,
+                                      Auxiliary(v).attributes);
 }
 
 double CombinedStructuralScore(const SimilarityConfig& config,
@@ -159,21 +185,8 @@ double CombinedStructuralScore(const SimilarityConfig& config,
 }
 
 double StructuralSimilarity::Combined(NodeId u, NodeId v) const {
-  UserFeatureView view_u;
-  view_u.degree = anonymized_.graph.Degree(u);
-  view_u.weighted_degree = anonymized_.graph.WeightedDegree(u);
-  view_u.ncs = &ncs_vectors_[0][static_cast<size_t>(u)];
-  view_u.hop = &hop_vectors_[0][static_cast<size_t>(u)];
-  view_u.weighted_hop = &weighted_vectors_[0][static_cast<size_t>(u)];
-  view_u.attributes = &attributes_[0][static_cast<size_t>(u)];
-  UserFeatureView view_v;
-  view_v.degree = auxiliary_.graph.Degree(v);
-  view_v.weighted_degree = auxiliary_.graph.WeightedDegree(v);
-  view_v.ncs = &ncs_vectors_[1][static_cast<size_t>(v)];
-  view_v.hop = &hop_vectors_[1][static_cast<size_t>(v)];
-  view_v.weighted_hop = &weighted_vectors_[1][static_cast<size_t>(v)];
-  view_v.attributes = &attributes_[1][static_cast<size_t>(v)];
-  return CombinedStructuralScore(config_, view_u, view_v);
+  return CombinedStructuralScore(config_, ViewOf(Anonymized(u)),
+                                 ViewOf(Auxiliary(v)));
 }
 
 std::vector<std::vector<double>> StructuralSimilarity::ComputeMatrix() const {
@@ -190,16 +203,10 @@ std::vector<std::vector<double>> StructuralSimilarity::ComputeMatrix() const {
   // Pack the auxiliary side into the blocked SoA store once, then score
   // whole rows through the batched kernel — bitwise-identical to calling
   // Combined() per pair (tests/core/feature_store_test.cc pins this).
-  std::vector<UserFeatureView> aux_views(static_cast<size_t>(n2));
-  for (NodeId v = 0; v < n2; ++v) {
-    UserFeatureView& view = aux_views[static_cast<size_t>(v)];
-    view.degree = auxiliary_.graph.Degree(v);
-    view.weighted_degree = auxiliary_.graph.WeightedDegree(v);
-    view.ncs = &ncs_vectors_[1][static_cast<size_t>(v)];
-    view.hop = &hop_vectors_[1][static_cast<size_t>(v)];
-    view.weighted_hop = &weighted_vectors_[1][static_cast<size_t>(v)];
-    view.attributes = &attributes_[1][static_cast<size_t>(v)];
-  }
+  std::vector<UserFeatureView> aux_views;
+  aux_views.reserve(static_cast<size_t>(n2));
+  for (const IndexedUserFeatures& f : features_[1])
+    aux_views.push_back(ViewOf(f));
   const FeatureStore store = FeatureStore::Build(aux_views);
 
   // Row-parallel: each task owns exactly one preallocated row, so the
@@ -207,16 +214,8 @@ std::vector<std::vector<double>> StructuralSimilarity::ComputeMatrix() const {
   ParallelFor(
       0, n1,
       [&](int64_t u) {
-        UserFeatureView view_u;
         const auto su = static_cast<size_t>(u);
-        view_u.degree = anonymized_.graph.Degree(static_cast<NodeId>(u));
-        view_u.weighted_degree =
-            anonymized_.graph.WeightedDegree(static_cast<NodeId>(u));
-        view_u.ncs = &ncs_vectors_[0][su];
-        view_u.hop = &hop_vectors_[0][su];
-        view_u.weighted_hop = &weighted_vectors_[0][su];
-        view_u.attributes = &attributes_[0][su];
-        const ScoreQuery query = store.MakeQuery(view_u);
+        const ScoreQuery query = store.MakeQuery(ViewOf(features_[0][su]));
         store.ScoreRow(config_, query, matrix[su].data());
       },
       config_.num_threads);

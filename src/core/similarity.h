@@ -50,6 +50,49 @@ struct UserFeatureView {
   const std::vector<std::pair<int, double>>* attributes = nullptr;
 };
 
+/// One user's precomputed similarity features — the exact per-side inputs
+/// of the pair-scoring kernel. ComputeUserFeatures builds them for the
+/// dense StructuralSimilarity and the candidate index alike (the index
+/// persists the auxiliary side's), so both paths score the same values.
+/// `attributes` is sorted by id and IDF-scaled (when enabled).
+struct IndexedUserFeatures {
+  double degree = 0.0;
+  double weighted_degree = 0.0;
+  std::vector<double> ncs;
+  std::vector<double> hop;
+  std::vector<double> weighted_hop;
+  std::vector<std::pair<int, double>> attributes;
+};
+
+/// Borrowed kernel view of `f`, which must outlive the view.
+UserFeatureView ViewOf(const IndexedUserFeatures& f);
+
+/// Attribute IDF weights over the auxiliary side:
+/// idf(A_i) = log((1+n2)/(1+df_i)), df_i = number of auxiliary users
+/// having A_i. An empty table with default_idf = 1.0 leaves weights
+/// unscaled (IDF off).
+struct IdfTable {
+  /// (attribute id, idf weight), sorted by id.
+  std::vector<std::pair<int, double>> table;
+  /// IDF of an attribute no auxiliary user has (df = 0).
+  double default_idf = 1.0;
+};
+
+/// The IDF table of `auxiliary` — computed once here and looked up by both
+/// sides' feature builds (the index persists it verbatim).
+IdfTable ComputeIdfTable(const UdaGraph& auxiliary);
+
+/// Every user's features on one side: degree, weighted degree, NCS vector,
+/// the ħ = num_landmarks landmark hop and weighted-hop vectors (landmark
+/// sweeps run on num_threads threads, 0 = hardware concurrency; results
+/// are identical for any value), and the attribute weights l_u(A_i)
+/// scaled by A_i's idf entry (default_idf when absent). The one feature
+/// builder of phase 1.
+std::vector<IndexedUserFeatures> ComputeUserFeatures(const UdaGraph& side,
+                                                     int num_landmarks,
+                                                     int num_threads,
+                                                     const IdfTable& idf);
+
 /// The pair-scoring kernel s_uv = c1·s^d + c2·s^s + c3·s^a. Both the dense
 /// path (StructuralSimilarity::Combined) and the candidate index
 /// (src/index/) call this ONE compiled function, so their exact scores are
@@ -60,12 +103,12 @@ double CombinedStructuralScore(const SimilarityConfig& config,
                                const UserFeatureView& v);
 
 /// Precomputes everything needed to score anonymized-vs-auxiliary user
-/// pairs: landmark proximity vectors on both UDA graphs, NCS vectors, and
-/// flattened attribute lists. The three components are exposed separately
-/// (the theory benches and the ablation bench sweep them independently).
+/// pairs: both sides' ComputeUserFeatures (IDF table from the auxiliary
+/// side when enabled). The three components are exposed separately (the
+/// theory benches and the ablation bench sweep them independently).
 class StructuralSimilarity {
  public:
-  /// `anonymized` and `auxiliary` must outlive this object.
+  /// Both graphs are only read during construction.
   StructuralSimilarity(const UdaGraph& anonymized, const UdaGraph& auxiliary,
                        SimilarityConfig config = {});
 
@@ -94,17 +137,16 @@ class StructuralSimilarity {
   int num_auxiliary() const;
 
  private:
-  const UdaGraph& anonymized_;
-  const UdaGraph& auxiliary_;
-  SimilarityConfig config_;
+  const IndexedUserFeatures& Anonymized(NodeId u) const {
+    return features_[0][static_cast<size_t>(u)];
+  }
+  const IndexedUserFeatures& Auxiliary(NodeId v) const {
+    return features_[1][static_cast<size_t>(v)];
+  }
 
-  // Per-user precomputed vectors (index 0 = anonymized side, 1 = auxiliary).
-  std::vector<std::vector<double>> hop_vectors_[2];
-  std::vector<std::vector<double>> weighted_vectors_[2];
-  std::vector<std::vector<double>> ncs_vectors_[2];
-  // Flattened (attribute id, weight) lists for fast merge joins; weights
-  // are IDF-scaled when config_.idf_weight_attributes is set.
-  std::vector<std::vector<std::pair<int, double>>> attributes_[2];
+  SimilarityConfig config_;
+  // Per-user features (index 0 = anonymized side, 1 = auxiliary).
+  std::vector<IndexedUserFeatures> features_[2];
 };
 
 /// Standalone weighted-Jaccard attribute similarity over flattened

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
-#include <numeric>
 
 #include "common/parallel.h"
 #include "graph/bipartite_matching.h"
@@ -80,21 +79,35 @@ CandidateSets GraphMatchingSelection(
 
 }  // namespace
 
+std::vector<ScoredUser> SelectTopKScored(const double* row, size_t n,
+                                         int k) {
+  const size_t want = std::min(static_cast<size_t>(std::max(k, 0)), n);
+  if (want == 0) return {};
+  std::vector<ScoredUser> heap;
+  heap.reserve(want);
+  for (size_t v = 0; v < want; ++v)
+    heap.push_back({row[v], static_cast<int>(v)});
+  // Max-heap under BetterScoredUser: front() is the worst kept candidate.
+  std::make_heap(heap.begin(), heap.end(), BetterScoredUser);
+  for (size_t v = want; v < n; ++v) {
+    const ScoredUser c{row[v], static_cast<int>(v)};
+    if (!BetterScoredUser(c, heap.front())) continue;
+    std::pop_heap(heap.begin(), heap.end(), BetterScoredUser);
+    heap.back() = c;
+    std::push_heap(heap.begin(), heap.end(), BetterScoredUser);
+  }
+  std::sort_heap(heap.begin(), heap.end(), BetterScoredUser);
+  return heap;
+}
+
 std::vector<int> TopKForRow(const std::vector<double>& row, int k) {
   assert(k >= 1);
-  std::vector<int> order(row.size());
-  std::iota(order.begin(), order.end(), 0);
-  const size_t take = std::min(static_cast<size_t>(k), row.size());
-  std::partial_sort(order.begin(), order.begin() + static_cast<long>(take),
-                    order.end(), [&row](int a, int b) {
-                      if (row[static_cast<size_t>(a)] !=
-                          row[static_cast<size_t>(b)])
-                        return row[static_cast<size_t>(a)] >
-                               row[static_cast<size_t>(b)];
-                      return a < b;
-                    });
-  order.resize(take);
-  return order;
+  const std::vector<ScoredUser> scored =
+      SelectTopKScored(row.data(), row.size(), k);
+  std::vector<int> ids;
+  ids.reserve(scored.size());
+  for (const ScoredUser& c : scored) ids.push_back(c.user);
+  return ids;
 }
 
 std::vector<ScoredUser> MergeScoredTopK(

@@ -1,6 +1,7 @@
 #ifndef DEHEALTH_CORE_TOP_K_H_
 #define DEHEALTH_CORE_TOP_K_H_
 
+#include <cstddef>
 #include <vector>
 
 #include "common/status.h"
@@ -61,11 +62,17 @@ StatusOr<CandidateSets> SelectTopKCandidates(
     CandidateSelection method = CandidateSelection::kDirect,
     int num_threads = 0);
 
-/// Direct Top-K selection for ONE similarity row: the min(k, |row|)
-/// auxiliary ids ordered by decreasing score, ties broken by smaller id.
-/// This is THE definition every direct-selection path (dense matrix,
-/// CandidateSource::TopKForUsers, serving batches) shares, so tie-breaking
-/// can never diverge between them. k must be >= 1.
+/// The direct selector: the min(k, n) best entries of row[0, n) as
+/// (score, id) pairs, best first under BetterScoredUser — one bounded
+/// K-heap pass, O(n log k). Every direct Top-K (TopKForRow, hence
+/// SelectTopKCandidates(kDirect) and CandidateSource::TopKForUsers, and
+/// the candidate index) ranks through this one function, so tie-breaking
+/// cannot diverge between them. k <= 0 selects nothing.
+std::vector<ScoredUser> SelectTopKScored(const double* row, size_t n, int k);
+
+/// Direct Top-K selection for ONE similarity row: the ids of
+/// SelectTopKScored — the min(k, |row|) auxiliary ids ordered by
+/// decreasing score, ties broken by smaller id. k must be >= 1.
 std::vector<int> TopKForRow(const std::vector<double>& row, int k);
 
 /// Fraction of anonymized users whose true mapping appears in their

@@ -2,8 +2,6 @@
 #define DEHEALTH_INDEX_CANDIDATE_INDEX_H_
 
 #include <cstdint>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -13,19 +11,6 @@
 #include "core/uda_graph.h"
 
 namespace dehealth {
-
-/// One user's precomputed similarity features — exactly the per-side values
-/// the dense StructuralSimilarity precomputes, so the index can feed the
-/// shared CombinedStructuralScore kernel and reproduce dense scores
-/// bitwise. `attributes` is sorted by id and IDF-scaled (when enabled).
-struct IndexedUserFeatures {
-  double degree = 0.0;
-  double weighted_degree = 0.0;
-  std::vector<double> ncs;
-  std::vector<double> hop;
-  std::vector<double> weighted_hop;
-  std::vector<std::pair<int, double>> attributes;
-};
 
 /// Everything a candidate-index snapshot persists: the score-shaping config
 /// fields, a fingerprint of the auxiliary side the index was built from,
@@ -53,10 +38,8 @@ struct CandidateIndexData {
   uint32_t shard_begin = 0;
   uint32_t shard_total = 0;
   std::vector<IndexedUserFeatures> users;
-  /// (attribute id, idf weight), sorted by id; empty when IDF is off.
-  std::vector<std::pair<int, double>> idf_table;
-  /// IDF of an attribute never seen on the auxiliary side (df = 0).
-  double default_idf = 1.0;
+  /// ComputeIdfTable(auxiliary); empty (default_idf 1.0) when IDF is off.
+  IdfTable idf;
 };
 
 /// Fingerprint of the auxiliary side used to detect stale snapshots:
@@ -71,8 +54,10 @@ uint64_t FingerprintForIndex(const UdaGraph& side);
 /// every Top-K is one batched FeatureStore row scan — the same compiled
 /// kernel as the dense path — streamed into a bounded K-heap.
 ///
-/// Results are bitwise-identical to SelectTopKCandidates(kDirect) on the
-/// dense matrix (see DESIGN.md "Candidate index").
+/// Features, IDF table and selection are the core ones the dense path uses
+/// (ComputeUserFeatures, ComputeIdfTable, SelectTopKScored), so results
+/// are bitwise-identical to SelectTopKCandidates(kDirect) on the dense
+/// matrix (see DESIGN.md "Candidate index").
 class CandidateIndex {
  public:
   /// Builds the index from the auxiliary side. `config.num_threads` drives
@@ -81,8 +66,8 @@ class CandidateIndex {
   static StatusOr<CandidateIndex> Build(const UdaGraph& auxiliary,
                                         const SimilarityConfig& config);
 
-  /// Wraps deserialized snapshot data, repacking the FeatureStore and the
-  /// IDF lookup. InvalidArgument when the data is internally inconsistent.
+  /// Wraps deserialized snapshot data, repacking the FeatureStore.
+  /// InvalidArgument when the data is internally inconsistent.
   static StatusOr<CandidateIndex> FromData(CandidateIndexData data);
 
   int num_auxiliary() const { return static_cast<int>(data_.users.size()); }
@@ -99,13 +84,9 @@ class CandidateIndex {
   SimdMode simd_mode() const { return simd_mode_; }
   void set_simd_mode(SimdMode mode) { simd_mode_ = mode; }
 
-  /// IDF weight of an attribute id (1.0 when IDF scaling is off;
-  /// default_idf for ids unseen on the auxiliary side).
-  double IdfWeight(int attribute_id) const;
-
-  /// Query-side feature computation: landmark vectors on the anonymized
-  /// graph plus attributes scaled with the index's stored IDF table —
-  /// exactly what StructuralSimilarity precomputes for side 0.
+  /// Query-side features: ComputeUserFeatures on the anonymized graph
+  /// with the index's stored IDF table — exactly what StructuralSimilarity
+  /// precomputes for side 0.
   std::vector<IndexedUserFeatures> ComputeQueryFeatures(
       const UdaGraph& anonymized, int num_threads = 0) const;
 
@@ -123,17 +104,12 @@ class CandidateIndex {
   /// the allocation-free form Top-K reuses.
   void ExactRowTo(const IndexedUserFeatures& query, double* out) const;
 
-  /// The query's Top-K candidate list: the min(k, n2) auxiliary ids with
-  /// the largest exact scores, ordered by decreasing score with ties
-  /// broken by smaller id — bitwise what SelectTopKCandidates(kDirect)
-  /// returns for this row.
-  std::vector<int> TopKForQuery(const IndexedUserFeatures& query,
-                                int k) const;
-
-  /// TopKForQuery keeping the exact scores — what shard merging needs
-  /// (MergeScoredTopK re-ranks candidates across shards by score, so ids
-  /// alone are not enough). `user` fields are LOCAL ids; the caller
-  /// translates by data().shard_begin.
+  /// The query's Top-K: ExactRowTo into a per-thread row buffer, then
+  /// SelectTopKScored — the min(k, n2) best (score, id) pairs, bitwise
+  /// what SelectTopKCandidates(kDirect) ranks for this row. The exact
+  /// scores are kept because shard merging needs them (MergeScoredTopK
+  /// re-ranks candidates across shards by score). `user` fields are LOCAL
+  /// ids; the caller translates by data().shard_begin.
   std::vector<ScoredUser> TopKScoredForQuery(const IndexedUserFeatures& query,
                                              int k) const;
 
@@ -148,7 +124,6 @@ class CandidateIndex {
   /// Blocked SoA mirror of data_.users for the batched exact row scan
   /// (rebuilt by BuildDerived; never persisted).
   FeatureStore store_;
-  std::unordered_map<int, double> idf_lookup_;
 };
 
 }  // namespace dehealth

@@ -1,7 +1,6 @@
 #include "index/indexed_source.h"
 
 #include "common/parallel.h"
-#include "obs/trace.h"
 
 namespace dehealth {
 
@@ -29,26 +28,6 @@ const std::vector<double>& IndexedCandidateSource::Row(
   return *scratch;
 }
 
-StatusOr<CandidateSets> IndexedCandidateSource::TopK(int k,
-                                                     int num_threads) const {
-  if (k < 1)
-    return Status::InvalidArgument(
-        "IndexedCandidateSource::TopK: k must be >= 1");
-  obs::Span span("index", "indexed_top_k");
-  span.SetArg("rows", static_cast<int64_t>(queries_.size()));
-  CandidateSets result(queries_.size());
-  // Row-parallel like the dense path: each task owns one preallocated
-  // output slot, so candidate sets are identical for any thread count.
-  ParallelFor(
-      0, static_cast<int64_t>(queries_.size()),
-      [&](int64_t u) {
-        result[static_cast<size_t>(u)] =
-            index_->TopKForQuery(queries_[static_cast<size_t>(u)], k);
-      },
-      num_threads);
-  return result;
-}
-
 StatusOr<CandidateSets> IndexedCandidateSource::TopKForUsers(
     const std::vector<int>& users, int k, int num_threads) const {
   if (k < 1)
@@ -65,8 +44,11 @@ StatusOr<CandidateSets> IndexedCandidateSource::TopKForUsers(
   ParallelFor(
       0, static_cast<int64_t>(users.size()),
       [&](int64_t i) {
-        result[static_cast<size_t>(i)] = index_->TopKForQuery(
+        const std::vector<ScoredUser> top = index_->TopKScoredForQuery(
             queries_[static_cast<size_t>(users[static_cast<size_t>(i)])], k);
+        std::vector<int>& ids = result[static_cast<size_t>(i)];
+        ids.reserve(top.size());
+        for (const ScoredUser& c : top) ids.push_back(c.user);
       },
       num_threads);
   return result;

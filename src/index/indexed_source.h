@@ -26,12 +26,9 @@ class IndexedCandidateSource final : public CandidateSource {
   const std::vector<double>& Row(NodeId u,
                                  std::vector<double>* scratch) const override;
 
-  /// Bitwise-identical to SelectTopKCandidates(kDirect) on the dense
-  /// matrix; row-parallel with thread-count-independent output.
-  StatusOr<CandidateSets> TopK(int k, int num_threads) const override;
-
-  /// Per-user CandidateIndex::TopKForQuery (row scan into a bounded heap)
-  /// instead of the base class's row copy plus full sort.
+  /// Per-user CandidateIndex::TopKScoredForQuery (row scan into the core
+  /// heap selector, ticking the dehealth_index_* counters) instead of the
+  /// base class's row copy; TopK (the base default) runs through it too.
   StatusOr<CandidateSets> TopKForUsers(const std::vector<int>& users, int k,
                                        int num_threads) const override;
 

@@ -123,12 +123,12 @@ std::string EncodeIndexSnapshot(const CandidateIndex& index) {
   Append(out, data.shard_begin);
   Append(out, data.shard_total);
 
-  Append(out, static_cast<uint32_t>(data.idf_table.size()));
-  for (const auto& [id, w] : data.idf_table) {
+  Append(out, static_cast<uint32_t>(data.idf.table.size()));
+  for (const auto& [id, w] : data.idf.table) {
     Append(out, static_cast<int32_t>(id));
     Append(out, w);
   }
-  Append(out, data.default_idf);
+  Append(out, data.idf.default_idf);
 
   Append(out, static_cast<uint32_t>(data.users.size()));
   for (const IndexedUserFeatures& f : data.users) {
@@ -202,15 +202,15 @@ StatusOr<CandidateIndex> DecodeIndexSnapshot(const std::string& bytes,
   DEHEALTH_RETURN_IF_ERROR(reader.Read(&idf_count));
   if (!reader.CanHold(idf_count, sizeof(int32_t) + sizeof(double)))
     return reader.Fail("idf table length exceeds payload");
-  data.idf_table.reserve(idf_count);
+  data.idf.table.reserve(idf_count);
   for (uint32_t i = 0; i < idf_count; ++i) {
     int32_t id = 0;
     double w = 0.0;
     DEHEALTH_RETURN_IF_ERROR(reader.Read(&id));
     DEHEALTH_RETURN_IF_ERROR(reader.Read(&w));
-    data.idf_table.emplace_back(id, w);
+    data.idf.table.emplace_back(id, w);
   }
-  DEHEALTH_RETURN_IF_ERROR(reader.Read(&data.default_idf));
+  DEHEALTH_RETURN_IF_ERROR(reader.Read(&data.idf.default_idf));
 
   uint32_t num_users = 0;
   DEHEALTH_RETURN_IF_ERROR(reader.Read(&num_users));

@@ -26,6 +26,17 @@ void WarnDenseFallback(const Status& status) {
   obs::GetIndexMetrics().dense_fallbacks->Increment();
 }
 
+// One shard's columns [range.begin, range.end) of a full-universe matrix,
+// re-indexed to local ids.
+std::vector<std::vector<double>> SliceColumns(
+    const std::vector<std::vector<double>>& full, const ShardRange& range) {
+  std::vector<std::vector<double>> slice(full.size());
+  for (size_t u = 0; u < full.size(); ++u)
+    slice[u].assign(full[u].begin() + range.begin,
+                    full[u].begin() + range.end);
+  return slice;
+}
+
 }  // namespace
 
 StatusOr<std::unique_ptr<AttackScoreSource>> BuildAttackScoreSource(
@@ -69,11 +80,7 @@ StatusOr<std::unique_ptr<AttackScoreSource>> BuildAttackScoreSource(
           ComputeShardRanges(bundle->universe_size, config.shard_count)
               [static_cast<size_t>(config.shard_index)];
       bundle->shard_begin = range.begin;
-      bundle->similarity.resize(matrix->size());
-      for (size_t u = 0; u < matrix->size(); ++u)
-        bundle->similarity[u].assign(
-            (*matrix)[u].begin() + range.begin,
-            (*matrix)[u].begin() + range.end);
+      bundle->similarity = SliceColumns(*matrix, range);
       bundle->source =
           std::make_unique<DenseCandidateSource>(bundle->similarity);
       return bundle;
@@ -108,11 +115,7 @@ StatusOr<std::unique_ptr<AttackScoreSource>> BuildAttackScoreSource(
     WarnDenseFallback(index.status());
     bundle->degraded_to_dense = true;
     const StructuralSimilarity similarity(anonymized, auxiliary, sim_config);
-    std::vector<std::vector<double>> full = similarity.ComputeMatrix();
-    bundle->similarity.resize(full.size());
-    for (size_t u = 0; u < full.size(); ++u)
-      bundle->similarity[u].assign(
-          full[u].begin() + range.begin, full[u].begin() + range.end);
+    bundle->similarity = SliceColumns(similarity.ComputeMatrix(), range);
     bundle->source =
         std::make_unique<DenseCandidateSource>(bundle->similarity);
     return bundle;
@@ -151,7 +154,11 @@ StatusOr<DeHealthResult> RunDeHealthAttack(const UdaGraph& anonymized,
   StatusOr<std::unique_ptr<AttackScoreSource>> scores =
       BuildAttackScoreSource(anonymized, auxiliary, config);
   if (!scores.ok()) return scores.status();
-  return attack.RunWithSource(anonymized, auxiliary, *(*scores)->source);
+  StatusOr<DeHealthResult> result =
+      attack.RunWithSource(anonymized, auxiliary, *(*scores)->source);
+  // Moved only after the phases ran on it, so the matrix exists once.
+  if (result.ok()) result->similarity = std::move((*scores)->similarity);
+  return result;
 }
 
 }  // namespace dehealth

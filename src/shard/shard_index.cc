@@ -64,8 +64,7 @@ CandidateIndexData SliceIndexData(const CandidateIndexData& full,
                      full.users.begin() + range.end);
   // The GLOBAL idf table, verbatim: shard-local document frequencies would
   // change attribute weights and break bitwise identity with N = 1.
-  slice.idf_table = full.idf_table;
-  slice.default_idf = full.default_idf;
+  slice.idf = full.idf;
   return slice;
 }
 

@@ -186,6 +186,13 @@ if(NOT RUN_ERR MATCHES "different forums, config, or shard size")
 endif()
 run_cli(1 attack --anonymized "${WORK_DIR}/missing.jsonl"
         --auxiliary "${WORK_DIR}/aux.jsonl")
+# Flags are validated before any dataset is read: with both inputs missing,
+# a bad --k must be the reported error, not the file error.
+run_cli(1 attack --anonymized "${WORK_DIR}/missing.jsonl"
+        --auxiliary "${WORK_DIR}/missing_aux.jsonl" --k 0)
+if(NOT RUN_ERR MATCHES "--k must be >= 1")
+  message(FATAL_ERROR "--k 0 not rejected before loading inputs: ${RUN_ERR}")
+endif()
 run_cli(1 frobnicate)
 
 message(STATUS "cli smoke test passed")

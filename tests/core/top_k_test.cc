@@ -1,6 +1,11 @@
 #include "core/top_k.h"
 
+#include <algorithm>
+#include <random>
+
 #include <gtest/gtest.h>
+
+#include "index/candidate_index.h"
 
 namespace dehealth {
 namespace {
@@ -87,6 +92,104 @@ TEST(SelectTopKTest, DirectSelectionIdenticalForAnyThreadCount) {
   ASSERT_TRUE(serial.ok());
   ASSERT_TRUE(threaded.ok());
   EXPECT_EQ(*serial, *threaded);
+}
+
+/// The reference ranking: every (score, id) fully sorted by
+/// BetterScoredUser, then truncated to k.
+std::vector<ScoredUser> FullSortTopK(const std::vector<double>& row, int k) {
+  std::vector<ScoredUser> all;
+  for (size_t v = 0; v < row.size(); ++v)
+    all.push_back({row[v], static_cast<int>(v)});
+  std::sort(all.begin(), all.end(), BetterScoredUser);
+  all.resize(std::min(all.size(), static_cast<size_t>(k)));
+  return all;
+}
+
+std::vector<int> IdsOf(const std::vector<ScoredUser>& scored) {
+  std::vector<int> ids;
+  for (const ScoredUser& c : scored) ids.push_back(c.user);
+  return ids;
+}
+
+void ExpectScoredEqual(const std::vector<ScoredUser>& expected,
+                       const std::vector<ScoredUser>& actual) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(actual[i].user, expected[i].user) << "rank " << i;
+    EXPECT_EQ(actual[i].score, expected[i].score) << "rank " << i;
+  }
+}
+
+/// The k values at the edges of the heap: one slot, one short of the row,
+/// exactly the row, and past it.
+std::vector<int> EdgeKs(size_t n) {
+  const int ni = static_cast<int>(n);
+  return {1, std::max(1, ni - 1), ni, ni + 5};
+}
+
+/// Checks every direct selector on `row` against FullSortTopK.
+void ExpectDirectSelectorsMatchFullSort(const std::vector<double>& row) {
+  EXPECT_TRUE(SelectTopKScored(row.data(), row.size(), 0).empty());
+  for (const int k : EdgeKs(row.size())) {
+    SCOPED_TRACE("n=" + std::to_string(row.size()) +
+                 " k=" + std::to_string(k));
+    const std::vector<ScoredUser> expected = FullSortTopK(row, k);
+    ExpectScoredEqual(expected, SelectTopKScored(row.data(), row.size(), k));
+    EXPECT_EQ(TopKForRow(row, k), IdsOf(expected));
+    auto sets = SelectTopKCandidates({row}, k, CandidateSelection::kDirect, 1);
+    ASSERT_TRUE(sets.ok());
+    EXPECT_EQ((*sets)[0], IdsOf(expected));
+  }
+}
+
+TEST(SelectTopKTest, SelectorMatchesFullSortOnTieDominatedRows) {
+  std::mt19937 rng(15);
+  const double kLevels[] = {0.25, 0.5, 0.75};
+  for (int trial = 0; trial < 300; ++trial) {
+    const size_t n = 1 + rng() % 40;
+    const bool all_equal = trial % 5 == 0;
+    std::vector<double> row(n);
+    for (double& score : row) score = all_equal ? 0.5 : kLevels[rng() % 3];
+    ExpectDirectSelectorsMatchFullSort(row);
+  }
+}
+
+/// Hand-made features of prototype `p`: candidates that copy a prototype
+/// score identically against any query.
+IndexedUserFeatures Prototype(int p) {
+  IndexedUserFeatures f;
+  f.degree = 1.0 + p;
+  f.weighted_degree = 2.0 + 3.0 * p;
+  f.ncs = {1.0, static_cast<double>(p)};
+  f.hop = {static_cast<double>(p), 1.0, 2.0};
+  f.weighted_hop = {0.5 + p, 1.0, 0.0};
+  f.attributes = {{p, 1.0 + p}, {7, 2.0}};
+  return f;
+}
+
+TEST(SelectTopKTest, IndexTopKMatchesFullSortOnTieDominatedRows) {
+  std::mt19937 rng(16);
+  const IndexedUserFeatures query = Prototype(3);
+  for (int trial = 0; trial < 60; ++trial) {
+    // Every candidate copies one of three prototypes (one, every fourth
+    // trial: an all-equal row), so the exact row is nearly all ties.
+    const int prototypes = trial % 4 == 0 ? 1 : 3;
+    CandidateIndexData data;
+    data.users.resize(1 + rng() % 40);
+    for (IndexedUserFeatures& f : data.users)
+      f = Prototype(static_cast<int>(rng() % prototypes));
+    auto index = CandidateIndex::FromData(std::move(data));
+    ASSERT_TRUE(index.ok()) << index.status().ToString();
+    std::vector<double> row;
+    index->ExactRow(query, &row);
+    for (const int k : EdgeKs(row.size())) {
+      SCOPED_TRACE("trial=" + std::to_string(trial) +
+                   " k=" + std::to_string(k));
+      ExpectScoredEqual(FullSortTopK(row, k),
+                        index->TopKScoredForQuery(query, k));
+    }
+    ExpectDirectSelectorsMatchFullSort(row);
+  }
 }
 
 TEST(TopKSuccessRateTest, CountsHits) {

@@ -4,6 +4,11 @@
 // IDF attribute weighting — the determinism contract in DESIGN.md
 // "Candidate index".
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "core/de_health.h"
@@ -111,6 +116,55 @@ TEST(IndexEquivalenceTest, RejectsInvalidK) {
   auto result = source.TopK(0, 1);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(IndexEquivalenceTest, IdfOfAttributeUnseenOnAuxiliarySideMatchesDense) {
+  Scenario s = MakeScenario(40, 17);
+  SimilarityConfig sim;
+  sim.idf_weight_attributes = true;
+  const IdfTable aux_idf = ComputeIdfTable(s.auxiliary);
+  ASSERT_FALSE(aux_idf.table.empty());
+  // Two attribute ids no auxiliary profile has, so both take the df = 0
+  // default log(1 + n2): one in a gap of the auxiliary id range, one past
+  // its end (outside the stylometric layout).
+  int gap = 0;
+  for (const auto& [id, weight] : aux_idf.table) {
+    if (id != gap) break;
+    ++gap;
+  }
+  ASSERT_LT(gap, aux_idf.table.back().first);
+  constexpr int kPastEnd = 1 << 20;
+  SparseVector post;
+  post.Set(gap, 1.0);
+  post.Set(kPastEnd, 1.0);
+  s.anonymized.profiles[0].AddPost(post);
+  s.anonymized.profiles[0].AddPost(post);
+
+  const StructuralSimilarity dense(s.anonymized, s.auxiliary, sim);
+  auto index = CandidateIndex::Build(s.auxiliary, sim);
+  ASSERT_TRUE(index.ok());
+  const IdfTable& idf = index->data().idf;
+  EXPECT_EQ(idf.table, aux_idf.table);
+  EXPECT_EQ(idf.default_idf,
+            std::log(1.0 + static_cast<double>(s.auxiliary.num_users())));
+
+  const std::vector<IndexedUserFeatures> queries =
+      index->ComputeQueryFeatures(s.anonymized);
+  const auto& attributes = queries[0].attributes;
+  for (const int unseen : {gap, kPastEnd}) {
+    const auto it = std::find_if(
+        attributes.begin(), attributes.end(),
+        [unseen](const auto& a) { return a.first == unseen; });
+    ASSERT_NE(it, attributes.end()) << "id " << unseen;
+    EXPECT_EQ(it->second,
+              s.anonymized.profiles[0].AttributeWeight(unseen) *
+                  idf.default_idf)
+        << "id " << unseen;
+  }
+  for (NodeId v = 0; v < s.auxiliary.num_users(); ++v)
+    ASSERT_EQ(std::bit_cast<uint64_t>(index->ExactScore(queries[0], v)),
+              std::bit_cast<uint64_t>(dense.Combined(0, v)))
+        << "v=" << v;
 }
 
 TEST(IndexPipelineTest, EndToEndAttackMatchesDensePath) {

@@ -61,8 +61,8 @@ TEST(IndexSnapshotTest, RoundTripPreservesDataAndAnswers) {
   EXPECT_EQ(a.num_landmarks, b.num_landmarks);
   EXPECT_EQ(a.idf_weight_attributes, b.idf_weight_attributes);
   EXPECT_EQ(a.auxiliary_fingerprint, b.auxiliary_fingerprint);
-  EXPECT_EQ(a.idf_table, b.idf_table);
-  EXPECT_EQ(a.default_idf, b.default_idf);
+  EXPECT_EQ(a.idf.table, b.idf.table);
+  EXPECT_EQ(a.idf.default_idf, b.idf.default_idf);
   ASSERT_EQ(a.users.size(), b.users.size());
   for (size_t v = 0; v < a.users.size(); ++v) {
     EXPECT_EQ(a.users[v].degree, b.users[v].degree);

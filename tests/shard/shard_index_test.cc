@@ -186,7 +186,7 @@ TEST_F(ShardedSourceTest, SliceIndexDataKeepsGlobalState) {
     // that is what makes per-shard scores bitwise-equal to the full run.
     EXPECT_EQ(slice.auxiliary_fingerprint,
               full_->data().auxiliary_fingerprint);
-    EXPECT_EQ(slice.idf_table, full_->data().idf_table);
+    EXPECT_EQ(slice.idf.table, full_->data().idf.table);
   }
 }
 
