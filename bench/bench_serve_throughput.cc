@@ -82,7 +82,6 @@ int Run(int num_users, const std::string& out_path) {
   DeHealthConfig config;
   config.top_k = 10;
   config.refined.learner = LearnerKind::kNearestCentroid;
-  config.use_index = true;  // serving configuration; dense is O(n^2) memory
 
   // One-shot cost: everything a cold dehealth_cli run pays before its
   // first (and only) answer.
@@ -201,7 +200,7 @@ int Run(int num_users, const std::string& out_path) {
       "load+precompute+query cost a one-shot dehealth_cli run pays\",\n"
       "  \"config\": {\"forum_users\": " + std::to_string(num_users) +
       ", \"anonymized_users\": " + std::to_string(n) +
-      ", \"top_k\": 10, \"learner\": \"centroid\", \"use_index\": true"
+      ", \"top_k\": 10, \"learner\": \"centroid\""
       ", \"requests_per_client\": " + std::to_string(kRequestsPerClient) +
       ", \"forum_seed\": " + std::to_string(kForumSeed) +
       ", \"split_seed\": " + std::to_string(kSplitSeed) + "},\n" + buffer +

@@ -8,7 +8,7 @@
 //   dehealth_cli attack   --anonymized anon.jsonl --auxiliary aux.jsonl
 //                         --k 10 --engine structural --learner smo
 //                         --threads 0 [--idf]
-//                         [--index] [--index-path idx.dhix]
+//                         [--index-path idx.dhix]
 //                         [--job-dir dir] [--shard-size N]
 //                         [--truth truth.csv] [--out predictions.csv]
 //                         [--trace-out trace.json] [--metrics-out m.prom]
@@ -24,9 +24,10 @@
 // success-rate/rank-CDF curve at the --ks cutoffs.
 // --threads N runs the whole pipeline on N threads (0 = all hardware
 // threads, the default); results are identical for any value.
-// --index answers phase 1 from the auxiliary-side candidate index instead
-// of the dense similarity matrix (same results, see DESIGN.md);
-// --index-path persists the index as a snapshot reused across runs.
+// The structural attack answers phase 1 from the auxiliary-side candidate
+// index, streaming one row per user and never forming the |Δ1|×|Δ2|
+// matrix (see DESIGN.md "Candidate index"); --index-path persists the
+// index as a snapshot reused across runs.
 // --job-dir runs the attack through the crash-safe job runner: completed
 // work is committed in checksummed shards, SIGTERM/SIGINT checkpoints and
 // exits cleanly (exit 0), and re-running the same command resumes from the
@@ -291,9 +292,9 @@ int CmdEvaluate(const Args& args) {
   auto config_or = ParseAttackFlags(args);
   if (!config_or.ok()) return Fail(config_or.status().ToString());
   DeHealthConfig config = *config_or;
-  if (config.use_index)
+  if (!config.index_snapshot_path.empty())
     return Fail("evaluate compares engines on exact full rankings; "
-                "--index/--index-path do not apply");
+                "--index-path does not apply");
   if (config.shard_count > 1)
     return Fail("evaluate needs the full auxiliary universe; "
                 "--shard-count does not apply (fleet slices are served by "

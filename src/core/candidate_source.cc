@@ -19,18 +19,21 @@ StatusOr<CandidateSets> CandidateSource::TopKForUsers(
           "CandidateSource::TopKForUsers: user id " + std::to_string(u) +
           " out of range [0, " + std::to_string(n1) + ")");
   CandidateSets result(users.size());
-  // Each task owns one output slot (and its own row scratch), so the lists
-  // are identical for any thread count.
+  // Each task owns one output slot, so the lists are identical for any
+  // thread count.
   ParallelFor(
       0, static_cast<int64_t>(users.size()),
       [&](int64_t i) {
-        std::vector<double> scratch;
-        const std::vector<double>& row =
-            Row(users[static_cast<size_t>(i)], &scratch);
-        result[static_cast<size_t>(i)] = TopKForRow(row, k);
+        result[static_cast<size_t>(i)] =
+            TopKRow(users[static_cast<size_t>(i)], k);
       },
       num_threads);
   return result;
+}
+
+std::vector<int> CandidateSource::TopKRow(NodeId u, int k) const {
+  std::vector<double> scratch;
+  return TopKForRow(Row(u, &scratch), k);
 }
 
 StatusOr<CandidateSets> CandidateSource::TopK(int k, int num_threads) const {

@@ -11,12 +11,13 @@ namespace dehealth {
 
 /// Where per-pair similarity scores and Top-K candidate sets come from.
 ///
-/// The dense path materializes the full |Δ1|×|Δ2| matrix (exact, O(n1·n2)
-/// memory); the indexed path (src/index/) answers the same queries from a
-/// persistent auxiliary-side index without ever forming the matrix. Both
-/// must produce bitwise-identical scores and candidate sets, so every
-/// downstream phase (filtering, refined DA, evaluation) can consume either
-/// through this interface.
+/// The structural attack answers from a persistent auxiliary-side index
+/// (src/index/) without ever forming the |Δ1|×|Δ2| matrix; the dense
+/// source wraps a materialized matrix (the DeHealth::Run reference and the
+/// matrix-backed engines). Both must produce bitwise-identical scores and
+/// candidate sets for the same matrix, so every downstream phase
+/// (filtering, refined DA, evaluation) can consume either through this
+/// interface.
 class CandidateSource {
  public:
   virtual ~CandidateSource() = default;
@@ -48,15 +49,19 @@ class CandidateSource {
   /// Batch entry point for the serving path: direct Top-K candidate lists
   /// for just the listed anonymized users — result[i] is bitwise-identical
   /// to TopK(k, ...)[users[i]], for any batch composition and thread count.
-  /// Fails with InvalidArgument on k < 1 or an out-of-range user id. The
-  /// default streams one Row per user through TopKForRow; sources with a
-  /// cheaper per-user query (the candidate index) override it.
-  virtual StatusOr<CandidateSets> TopKForUsers(const std::vector<int>& users,
-                                               int k, int num_threads) const;
+  /// Fails with InvalidArgument on k < 1 or an out-of-range user id.
+  /// Row-parallel: one TopKRow per user.
+  StatusOr<CandidateSets> TopKForUsers(const std::vector<int>& users, int k,
+                                       int num_threads) const;
+
+  /// One user's direct Top-K ids (k >= 1, u in range — TopKForUsers
+  /// validates both). The default runs TopKForRow over Row(u); sources with
+  /// a cheaper per-user query (the candidate index) override it.
+  virtual std::vector<int> TopKRow(NodeId u, int k) const;
 
   /// The materialized matrix when this source holds one, else nullptr.
-  /// Graph-matching candidate selection is inherently global and requires
-  /// it.
+  /// Graph-matching selection reads it directly; without it, selection
+  /// materializes the matrix from Row.
   virtual const std::vector<std::vector<double>>* DenseMatrix() const {
     return nullptr;
   }

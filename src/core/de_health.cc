@@ -2,6 +2,8 @@
 
 #include <numeric>
 
+#include "common/parallel.h"
+
 namespace dehealth {
 
 DeHealth::DeHealth(DeHealthConfig config) : config_(config) {}
@@ -31,23 +33,38 @@ Status RunPhases(const DeHealth& attack, const UdaGraph& anonymized,
   return Status();
 }
 
+/// Graph matching is a global assignment over the whole |Δ1|×|Δ2| matrix:
+/// a source that streams rows (the candidate index) materializes it here,
+/// one row per task slot, so the matrix is identical for any thread count.
+StatusOr<CandidateSets> SelectByGraphMatching(const CandidateSource& scores,
+                                              int k, int num_threads) {
+  if (const auto* dense = scores.DenseMatrix())
+    return SelectTopKCandidates(*dense, k, CandidateSelection::kGraphMatching,
+                                num_threads);
+  std::vector<std::vector<double>> matrix(
+      static_cast<size_t>(scores.num_anonymized()));
+  ParallelFor(
+      0, static_cast<int64_t>(matrix.size()),
+      [&](int64_t u) {
+        std::vector<double> scratch;
+        matrix[static_cast<size_t>(u)] =
+            scores.Row(static_cast<NodeId>(u), &scratch);
+      },
+      num_threads);
+  return SelectTopKCandidates(matrix, k, CandidateSelection::kGraphMatching,
+                              num_threads);
+}
+
 }  // namespace
 
 StatusOr<DeHealthCandidates> DeHealth::SelectCandidates(
     const CandidateSource& scores) const {
   DeHealthCandidates state;
 
-  // Phase 1b: Top-K candidate sets (Algorithm 1, line 5). Graph matching
-  // needs the whole matrix at once, so it only works on dense sources.
-  if (config_.selection == CandidateSelection::kGraphMatching &&
-      scores.DenseMatrix() == nullptr)
-    return Status::FailedPrecondition(
-        "DeHealth: graph-matching selection requires a dense similarity "
-        "matrix (disable use_index or use direct selection)");
+  // Phase 1b: Top-K candidate sets (Algorithm 1, line 5).
   StatusOr<CandidateSets> candidates =
       config_.selection == CandidateSelection::kGraphMatching
-          ? SelectTopKCandidates(*scores.DenseMatrix(), config_.top_k,
-                                 config_.selection, config_.num_threads)
+          ? SelectByGraphMatching(scores, config_.top_k, config_.num_threads)
           : scores.TopK(config_.top_k, config_.num_threads);
   if (!candidates.ok()) return candidates.status();
   state.candidates = std::move(candidates).value();

@@ -48,15 +48,16 @@ struct DeHealthConfig {
   /// value (see DESIGN.md "Threading model").
   int num_threads = 0;
 
-  /// Answer phase 1 from the persistent auxiliary-side candidate index
-  /// (src/index/) instead of materializing the dense |Δ1|×|Δ2| similarity
-  /// matrix. Scores and candidate sets are bitwise-identical to the dense
-  /// path (see DESIGN.md "Candidate index"); DeHealthResult::similarity is
-  /// left empty. Consumed by RunDeHealthAttack (src/index/pipeline.h) —
-  /// DeHealth::Run itself always runs dense.
+  /// Read by nothing in src/: the structural attack always streams from
+  /// the candidate index (BuildAttackScoreSource), and DeHealth::Run is the
+  /// dense reference. The field stays for source compatibility of the two
+  /// readers that still set it — perfbench/serving.cc and
+  /// JobTest.ConfigFingerprintIsPinnedAcrossVersions, which pins that it
+  /// never fed the job fingerprint.
   bool use_index = false;
-  /// When non-empty, the index is loaded from this snapshot file if it
-  /// matches the auxiliary side + config (and rebuilt + saved otherwise).
+  /// Snapshot file of the structural candidate index: loaded when it
+  /// matches the auxiliary side + config, rebuilt + saved otherwise. Empty
+  /// keeps the index in memory for this run only.
   std::string index_snapshot_path;
 
   /// Shard-slice mode for distributed serving (dehealth_router + N
@@ -115,11 +116,11 @@ class DeHealth {
                                const UdaGraph& auxiliary) const;
 
   /// Runs phases 1b-2 against an externally provided score source (the
-  /// dense matrix wrapped in a DenseCandidateSource, or the candidate
-  /// index). DeHealthResult::similarity is left empty — the source keeps
-  /// its matrix, so the caller moves it over if it wants it (as
-  /// RunDeHealthAttack does); graph-matching selection requires a dense
-  /// source and fails with FailedPrecondition otherwise.
+  /// candidate index, or a matrix wrapped in a DenseCandidateSource).
+  /// DeHealthResult::similarity is left empty — a dense source keeps its
+  /// matrix, so the caller moves it over if it wants it (as
+  /// RunDeHealthAttack does). Graph-matching selection materializes the
+  /// matrix from a streaming source's rows.
   StatusOr<DeHealthResult> RunWithSource(const UdaGraph& anonymized,
                                          const UdaGraph& auxiliary,
                                          const CandidateSource& scores) const;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <numeric>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -231,6 +233,61 @@ Status RefineOneUser(const UdaGraph& anonymized, const UdaGraph& auxiliary,
   return Status();
 }
 
+// The one refined-DA batch loop: one independent training problem per
+// listed user; each task writes only its own outcome/status slot, so
+// predictions are identical for any thread count and batch composition.
+// `caller` prefixes validation errors and `span_name` names the trace span.
+StatusOr<RefinedDaResult> RefineBatch(
+    const char* caller, const char* span_name, const UdaGraph& anonymized,
+    const UdaGraph& auxiliary, const std::vector<int>& users,
+    const CandidateSets& candidates, const std::vector<bool>* rejected,
+    const CandidateSource& scores, const RefinedDaConfig& config) {
+  const int n1 = anonymized.num_users();
+  if (static_cast<int>(candidates.size()) != n1)
+    return Status::InvalidArgument(
+        std::string(caller) + ": candidate set count != anonymized users");
+  if (scores.num_anonymized() != n1)
+    return Status::InvalidArgument(
+        std::string(caller) + ": similarity row count != anonymized users");
+  for (int u : users)
+    if (u < 0 || u >= n1)
+      return Status::InvalidArgument(
+          std::string(caller) + ": user id " + std::to_string(u) +
+          " out of range [0, " + std::to_string(n1) + ")");
+  obs::Span span("core", span_name);
+  span.SetArg("users", static_cast<int64_t>(users.size()));
+  obs::GetCoreMetrics().refined_users->Increment(users.size());
+
+  std::vector<UserOutcome> outcomes(users.size());
+  std::vector<Status> statuses(users.size());
+  ParallelFor(
+      0, static_cast<int64_t>(users.size()),
+      [&](int64_t i) {
+        const NodeId u = static_cast<NodeId>(users[static_cast<size_t>(i)]);
+        if (rejected != nullptr && (*rejected)[static_cast<size_t>(u)]) {
+          outcomes[static_cast<size_t>(i)].rejected = true;
+          return;  // filtering already concluded u → ⊥
+        }
+        statuses[static_cast<size_t>(i)] =
+            RefineOneUser(anonymized, auxiliary, candidates, scores, config,
+                          u, outcomes[static_cast<size_t>(i)]);
+      },
+      config.num_threads);
+  // Surface the first (lowest-index) error, as a serial loop would.
+  for (const Status& st : statuses)
+    if (!st.ok()) return st;
+
+  RefinedDaResult result;
+  result.predictions.assign(users.size(), kNotPresent);
+  result.rejected.assign(users.size(), false);
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    result.predictions[i] = outcomes[i].prediction;
+    result.rejected[i] = outcomes[i].rejected;
+    if (outcomes[i].rejected) ++result.num_rejected;
+  }
+  return result;
+}
+
 }  // namespace
 
 StatusOr<RefinedDaResult> RunRefinedDa(const UdaGraph& anonymized,
@@ -239,48 +296,10 @@ StatusOr<RefinedDaResult> RunRefinedDa(const UdaGraph& anonymized,
                                        const std::vector<bool>* rejected,
                                        const CandidateSource& scores,
                                        const RefinedDaConfig& config) {
-  const int n1 = anonymized.num_users();
-  if (static_cast<int>(candidates.size()) != n1)
-    return Status::InvalidArgument(
-        "RunRefinedDa: candidate set count != anonymized users");
-  if (scores.num_anonymized() != n1)
-    return Status::InvalidArgument(
-        "RunRefinedDa: similarity row count != anonymized users");
-  obs::Span span("core", "refined_da");
-  span.SetArg("users", n1);
-  obs::GetCoreMetrics().refined_users->Increment(static_cast<uint64_t>(n1));
-
-  // One independent training problem per anonymized user; each task writes
-  // only its own outcome/status slot, so predictions are identical for any
-  // thread count.
-  std::vector<UserOutcome> outcomes(static_cast<size_t>(n1));
-  std::vector<Status> statuses(static_cast<size_t>(n1));
-  ParallelFor(
-      0, n1,
-      [&](int64_t ui) {
-        const NodeId u = static_cast<NodeId>(ui);
-        if (rejected != nullptr && (*rejected)[static_cast<size_t>(u)]) {
-          outcomes[static_cast<size_t>(u)].rejected = true;
-          return;  // filtering already concluded u → ⊥
-        }
-        statuses[static_cast<size_t>(u)] =
-            RefineOneUser(anonymized, auxiliary, candidates, scores,
-                          config, u, outcomes[static_cast<size_t>(u)]);
-      },
-      config.num_threads);
-  // Surface the first (lowest-u) error, matching the old serial behavior.
-  for (const Status& st : statuses)
-    if (!st.ok()) return st;
-
-  RefinedDaResult result;
-  result.predictions.assign(static_cast<size_t>(n1), kNotPresent);
-  result.rejected.assign(static_cast<size_t>(n1), false);
-  for (size_t u = 0; u < outcomes.size(); ++u) {
-    result.predictions[u] = outcomes[u].prediction;
-    result.rejected[u] = outcomes[u].rejected;
-    if (outcomes[u].rejected) ++result.num_rejected;
-  }
-  return result;
+  std::vector<int> all(static_cast<size_t>(anonymized.num_users()));
+  std::iota(all.begin(), all.end(), 0);
+  return RefineBatch("RunRefinedDa", "refined_da", anonymized, auxiliary,
+                     all, candidates, rejected, scores, config);
 }
 
 StatusOr<RefinedDaResult> RunRefinedDa(
@@ -298,51 +317,9 @@ StatusOr<RefinedDaResult> RunRefinedDaForUsers(
     const std::vector<int>& users, const CandidateSets& candidates,
     const std::vector<bool>* rejected, const CandidateSource& scores,
     const RefinedDaConfig& config) {
-  const int n1 = anonymized.num_users();
-  if (static_cast<int>(candidates.size()) != n1)
-    return Status::InvalidArgument(
-        "RunRefinedDaForUsers: candidate set count != anonymized users");
-  if (scores.num_anonymized() != n1)
-    return Status::InvalidArgument(
-        "RunRefinedDaForUsers: similarity row count != anonymized users");
-  for (int u : users)
-    if (u < 0 || u >= n1)
-      return Status::InvalidArgument(
-          "RunRefinedDaForUsers: user id " + std::to_string(u) +
-          " out of range [0, " + std::to_string(n1) + ")");
-  obs::Span span("core", "refined_da_for_users");
-  span.SetArg("users", static_cast<int64_t>(users.size()));
-  obs::GetCoreMetrics().refined_users->Increment(users.size());
-
-  // Same per-user problems as the full run, just over a subset; each task
-  // writes only its own batch slot.
-  std::vector<UserOutcome> outcomes(users.size());
-  std::vector<Status> statuses(users.size());
-  ParallelFor(
-      0, static_cast<int64_t>(users.size()),
-      [&](int64_t i) {
-        const NodeId u = static_cast<NodeId>(users[static_cast<size_t>(i)]);
-        if (rejected != nullptr && (*rejected)[static_cast<size_t>(u)]) {
-          outcomes[static_cast<size_t>(i)].rejected = true;
-          return;  // filtering already concluded u → ⊥
-        }
-        statuses[static_cast<size_t>(i)] =
-            RefineOneUser(anonymized, auxiliary, candidates, scores, config,
-                          u, outcomes[static_cast<size_t>(i)]);
-      },
-      config.num_threads);
-  for (const Status& st : statuses)
-    if (!st.ok()) return st;
-
-  RefinedDaResult result;
-  result.predictions.assign(users.size(), kNotPresent);
-  result.rejected.assign(users.size(), false);
-  for (size_t i = 0; i < outcomes.size(); ++i) {
-    result.predictions[i] = outcomes[i].prediction;
-    result.rejected[i] = outcomes[i].rejected;
-    if (outcomes[i].rejected) ++result.num_rejected;
-  }
-  return result;
+  return RefineBatch("RunRefinedDaForUsers", "refined_da_for_users",
+                     anonymized, auxiliary, users, candidates, rejected,
+                     scores, config);
 }
 
 StatusOr<RefinedDaResult> RunRefinedDaShared(const UdaGraph& anonymized,

@@ -16,7 +16,7 @@ StatusOr<std::vector<std::vector<double>>> BuildEngineMatrix(
     case EngineKind::kStructural:
       return Status::InvalidArgument(
           "BuildEngineMatrix: the structural engine is served by "
-          "BuildAttackScoreSource's dense/indexed modes, not here");
+          "BuildAttackScoreSource's candidate index, not here");
     case EngineKind::kBlind: {
       BlindConfig blind;
       blind.num_threads = config.num_threads;

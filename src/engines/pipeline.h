@@ -12,7 +12,7 @@ namespace dehealth {
 /// (config.engine == kBlind or kCommunity), honoring config.num_threads,
 /// config.engine_seed and — for the community engine's within-community
 /// scorer — config.similarity (idf/simd/weights). InvalidArgument for
-/// kStructural: that engine's dense/indexed/sharded modes belong to
+/// kStructural: that engine streams from the candidate index built by
 /// BuildAttackScoreSource (src/index/pipeline.h), which calls here for
 /// the others.
 ///

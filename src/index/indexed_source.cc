@@ -1,7 +1,5 @@
 #include "index/indexed_source.h"
 
-#include "common/parallel.h"
-
 namespace dehealth {
 
 IndexedCandidateSource::IndexedCandidateSource(const UdaGraph& anonymized,
@@ -28,30 +26,13 @@ const std::vector<double>& IndexedCandidateSource::Row(
   return *scratch;
 }
 
-StatusOr<CandidateSets> IndexedCandidateSource::TopKForUsers(
-    const std::vector<int>& users, int k, int num_threads) const {
-  if (k < 1)
-    return Status::InvalidArgument(
-        "IndexedCandidateSource::TopKForUsers: k must be >= 1");
-  const int n1 = num_anonymized();
-  for (int u : users)
-    if (u < 0 || u >= n1)
-      return Status::InvalidArgument(
-          "IndexedCandidateSource::TopKForUsers: user id " +
-          std::to_string(u) + " out of range [0, " + std::to_string(n1) +
-          ")");
-  CandidateSets result(users.size());
-  ParallelFor(
-      0, static_cast<int64_t>(users.size()),
-      [&](int64_t i) {
-        const std::vector<ScoredUser> top = index_->TopKScoredForQuery(
-            queries_[static_cast<size_t>(users[static_cast<size_t>(i)])], k);
-        std::vector<int>& ids = result[static_cast<size_t>(i)];
-        ids.reserve(top.size());
-        for (const ScoredUser& c : top) ids.push_back(c.user);
-      },
-      num_threads);
-  return result;
+std::vector<int> IndexedCandidateSource::TopKRow(NodeId u, int k) const {
+  const std::vector<ScoredUser> top =
+      index_->TopKScoredForQuery(queries_[static_cast<size_t>(u)], k);
+  std::vector<int> ids;
+  ids.reserve(top.size());
+  for (const ScoredUser& c : top) ids.push_back(c.user);
+  return ids;
 }
 
 }  // namespace dehealth

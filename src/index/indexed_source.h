@@ -26,11 +26,10 @@ class IndexedCandidateSource final : public CandidateSource {
   const std::vector<double>& Row(NodeId u,
                                  std::vector<double>* scratch) const override;
 
-  /// Per-user CandidateIndex::TopKScoredForQuery (row scan into the core
+  /// CandidateIndex::TopKScoredForQuery's ids (row scan into the core
   /// heap selector, ticking the dehealth_index_* counters) instead of the
-  /// base class's row copy; TopK (the base default) runs through it too.
-  StatusOr<CandidateSets> TopKForUsers(const std::vector<int>& users, int k,
-                                       int num_threads) const override;
+  /// base class's row copy; TopK and TopKForUsers run through it.
+  std::vector<int> TopKRow(NodeId u, int k) const override;
 
  private:
   const CandidateIndex* index_;

@@ -16,15 +16,12 @@ namespace dehealth {
 /// all three construct scores identically and answers can never drift.
 /// Heap-allocated because `source` borrows the sibling members by address.
 struct AttackScoreSource {
-  /// Dense path: the materialized |Δ1|×|Δ2| matrix `source` borrows.
+  /// Matrix-backed engines (blind, community): the materialized
+  /// |Δ1|×|Δ2| matrix (or its shard's columns) `source` borrows.
   std::vector<std::vector<double>> similarity;
-  /// Indexed path: the candidate index `source` borrows.
+  /// Structural engine: the candidate index `source` borrows.
   std::unique_ptr<CandidateIndex> index;
   std::unique_ptr<CandidateSource> source;
-  /// True when config.use_index was set but the index could not be
-  /// loaded/built/persisted — the bundle degraded to the dense path with a
-  /// warning on stderr instead of failing the whole attack.
-  bool degraded_to_dense = false;
   /// Shard identity of this bundle (filled in every mode; trivially 0 of 1
   /// outside slice mode). `universe_size`/`universe_fingerprint` always
   /// describe the FULL auxiliary side, and `shard_begin` is the global
@@ -38,28 +35,26 @@ struct AttackScoreSource {
   uint64_t universe_fingerprint = 0;
 };
 
-/// Builds the score source the config asks for: the dense similarity
-/// matrix, the auxiliary-side candidate index (loaded from
-/// config.index_snapshot_path when the snapshot matches, rebuilt + saved
-/// otherwise), or a single-shard slice (config.shard_count > 1 — local
-/// auxiliary ids over that shard's range). Graceful degradation: an index
-/// that cannot be loaded/built/persisted falls back to the dense path with
-/// a warning (see `degraded_to_dense`) — an unusable snapshot file never
-/// takes the attack down with it. Defined in src/shard/attack_pipeline.cc (the
-/// slice mode pulls in src/shard/, which layers above src/index/).
+/// Builds the score source the config asks for. The structural engine
+/// always streams rows from the auxiliary-side candidate index — loaded
+/// from config.index_snapshot_path when the snapshot matches, rebuilt +
+/// saved otherwise, in memory only when the path is empty — and never
+/// forms the |Δ1|×|Δ2| matrix. The blind and community engines build their
+/// matrix. Slice mode (config.shard_count > 1) covers one shard's range of
+/// local auxiliary ids. Graceful degradation: a snapshot path that cannot
+/// be loaded/built/persisted warns on stderr and falls back to an in-memory
+/// index — an unusable snapshot file never takes the attack down with it.
+/// Defined in src/shard/attack_pipeline.cc (the slice mode pulls in
+/// src/shard/, which layers above src/index/).
 StatusOr<std::unique_ptr<AttackScoreSource>> BuildAttackScoreSource(
     const UdaGraph& anonymized, const UdaGraph& auxiliary,
     const DeHealthConfig& config);
 
-/// Runs the De-Health attack end-to-end, honoring the index knobs in
-/// DeHealthConfig:
-///   - use_index == false: identical to DeHealth::Run (dense matrix);
-///   - use_index == true: builds the auxiliary-side candidate index (or
-///     loads it from config.index_snapshot_path when the snapshot matches
-///     the auxiliary side + config, persisting a rebuilt one otherwise)
-///     and runs phases 1b-2 through it. Scores, candidate sets, filtering
-///     and refined-DA predictions are bitwise-identical to the dense path;
-///     DeHealthResult::similarity stays empty (the matrix is never formed).
+/// Runs the De-Health attack end-to-end over BuildAttackScoreSource's
+/// score source. For the structural engine, scores, candidate sets,
+/// filtering and refined-DA predictions are bitwise-identical to the dense
+/// reference DeHealth::Run, and DeHealthResult::similarity stays empty (the
+/// matrix is never formed); the matrix-backed engines return theirs.
 /// config.job_dir is ignored here — use RunDeHealthAttackJob
 /// (src/job/runner.h) for the checkpointed variant.
 StatusOr<DeHealthResult> RunDeHealthAttack(const UdaGraph& anonymized,

@@ -86,9 +86,9 @@ class AttackJob {
 };
 
 /// The checkpointed equivalent of RunDeHealthAttack: opens the job at
-/// config.job_dir, builds the score source (dense or indexed, with the
-/// same graceful index degradation), and runs both phases through the
-/// durable shard store. DeHealthResult::similarity is always left empty
+/// config.job_dir, builds the score source (BuildAttackScoreSource, with
+/// the same graceful snapshot degradation), and runs both phases through
+/// the durable shard store. DeHealthResult::similarity is always left empty
 /// (checkpointing the O(n1·n2) matrix would dwarf the results; nothing
 /// downstream of the CLI needs it). Cancelled when a shutdown signal
 /// interrupted the job after a durable checkpoint — re-run to resume.

@@ -52,9 +52,6 @@ const MetricDef kIndexSnapshotLoads = {
 const MetricDef kIndexSnapshotRebuilds = {
     "dehealth_index_snapshot_rebuilds_total", MetricType::kCounter, "1",
     "index", "Candidate indexes rebuilt (missing or stale snapshot)"};
-const MetricDef kIndexDenseFallbacks = {
-    "dehealth_index_dense_fallbacks_total", MetricType::kCounter, "1",
-    "index", "Indexed runs degraded to the dense Top-K path"};
 const MetricDef kIndexDenseScans = {
     "dehealth_index_dense_scans_total", MetricType::kCounter, "1", "index",
     "Top-K queries answered by one batched row scan (every indexed "
@@ -213,11 +210,10 @@ const std::vector<const MetricDef*>& AllMetricDefs() {
           &kCoreSimdKernel,      &kCoreScoreBlockSize,
           &kIndexTopKQueries,    &kIndexExactEvals,
           &kIndexBoundPruned,    &kIndexSnapshotLoads,
-          &kIndexSnapshotRebuilds, &kIndexDenseFallbacks,
-          &kIndexDenseScans,     &kShardScatterRpcs,
-          &kShardScatterFailures, &kShardPartialAnswers,
-          &kShardMergeMicros,    &kShardBackendLatency,
-          &kShardSnapshotQuarantines,
+          &kIndexSnapshotRebuilds, &kIndexDenseScans,
+          &kShardScatterRpcs,    &kShardScatterFailures,
+          &kShardPartialAnswers, &kShardMergeMicros,
+          &kShardBackendLatency, &kShardSnapshotQuarantines,
           &kReplicaFailovers,    &kReplicaEjections,
           &kReplicaReadmissions, &kReplicaProbes,
           &kReplicaProbeFailures, &kReplicaHedges,
@@ -268,7 +264,6 @@ IndexMetrics& GetIndexMetrics() {
         r.GetCounter(kIndexBoundPruned),
         r.GetCounter(kIndexSnapshotLoads),
         r.GetCounter(kIndexSnapshotRebuilds),
-        r.GetCounter(kIndexDenseFallbacks),
         r.GetCounter(kIndexDenseScans),
     };
   }();

@@ -90,9 +90,10 @@ class QueryEngine : public QueryHandler {
   UdaGraph anonymized_;
   UdaGraph auxiliary_;
   DeHealth attack_;
-  /// The score source plus whatever storage it borrows (dense matrix or
-  /// candidate index) — built by BuildAttackScoreSource, the same
-  /// construction the one-shot pipeline and the job runner use.
+  /// The score source plus whatever storage it borrows (candidate index,
+  /// or a matrix-backed engine's matrix) — built by
+  /// BuildAttackScoreSource, the same construction the one-shot pipeline
+  /// and the job runner use.
   std::unique_ptr<AttackScoreSource> bundle_;
   DeHealthCandidates raw_;    // phase 1b only (serves kTopK at default K)
   DeHealthCandidates state_;  // post-filtering state phase 2 runs against

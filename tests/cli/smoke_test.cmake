@@ -1,6 +1,6 @@
-# End-to-end smoke test of the dehealth_cli binary, including the indexed
-# attack path and the strict-flag-parsing error paths (which dehealth_serve
-# shares).
+# End-to-end smoke test of the dehealth_cli binary, including the index
+# snapshot lifecycle and the strict-flag-parsing error paths (which
+# dehealth_serve shares).
 #
 # Usage: cmake -DCLI=<dehealth_cli> -DSERVE=<dehealth_serve>
 #              -DWORK_DIR=<scratch dir> -P smoke_test.cmake
@@ -35,7 +35,7 @@ macro(run_cli expect_rc)
   run_bin("${CLI}" ${expect_rc} ${ARGN})
 endmacro()
 
-# --- happy path: generate -> split -> attack with the candidate index ----
+# --- happy path: generate -> split -> attack with a persisted index -----
 run_cli(0 generate --preset webmd --users 60 --seed 7
         --out "${WORK_DIR}/forum.jsonl")
 run_cli(0 split --dataset "${WORK_DIR}/forum.jsonl" --aux-fraction 0.5
@@ -43,7 +43,7 @@ run_cli(0 split --dataset "${WORK_DIR}/forum.jsonl" --aux-fraction 0.5
         --aux-out "${WORK_DIR}/aux.jsonl" --truth-out "${WORK_DIR}/truth.csv")
 run_cli(0 attack --anonymized "${WORK_DIR}/anon.jsonl"
         --auxiliary "${WORK_DIR}/aux.jsonl" --k 5 --learner centroid
-        --threads 2 --index --index-path "${WORK_DIR}/aux.dhix"
+        --threads 2 --index-path "${WORK_DIR}/aux.dhix"
         --truth "${WORK_DIR}/truth.csv" --out "${WORK_DIR}/pred.csv")
 if(NOT RUN_OUT MATCHES "top-5 success")
   message(FATAL_ERROR "attack output missing evaluation line: ${RUN_OUT}")
@@ -55,7 +55,7 @@ if(NOT EXISTS "${WORK_DIR}/aux.dhix")
   message(FATAL_ERROR "attack did not persist the index snapshot")
 endif()
 
-# Second indexed run reuses the persisted snapshot and must still succeed.
+# Second run reuses the persisted snapshot and must still succeed.
 run_cli(0 attack --anonymized "${WORK_DIR}/anon.jsonl"
         --auxiliary "${WORK_DIR}/aux.jsonl" --k 5 --learner centroid
         --index-path "${WORK_DIR}/aux.dhix" --out "${WORK_DIR}/pred2.csv")
@@ -65,9 +65,9 @@ if(NOT first_run STREQUAL second_run)
   message(FATAL_ERROR "snapshot-reusing run changed predictions")
 endif()
 
-# --threads bounds feature extraction and scoring, never the answer: a
-# dense attack on one thread and on every hardware thread writes the same
-# predictions and candidates.
+# --threads bounds feature extraction and scoring, never the answer: an
+# in-memory-index attack on one thread and on every hardware thread writes
+# the same predictions and candidates.
 foreach(threads 1 0)
   run_cli(0 attack --anonymized "${WORK_DIR}/anon.jsonl"
           --auxiliary "${WORK_DIR}/aux.jsonl" --k 5 --learner centroid
@@ -85,7 +85,7 @@ endif()
 # observability files must be non-empty and well-formed.
 run_cli(0 attack --anonymized "${WORK_DIR}/anon.jsonl"
         --auxiliary "${WORK_DIR}/aux.jsonl" --k 5 --learner centroid
-        --threads 2 --index --index-path "${WORK_DIR}/aux.dhix"
+        --threads 2 --index-path "${WORK_DIR}/aux.dhix"
         --trace-out "${WORK_DIR}/attack_trace.json"
         --metrics-out "${WORK_DIR}/attack_metrics.prom"
         --out "${WORK_DIR}/pred_traced.csv")
@@ -138,20 +138,32 @@ run_bin("${SERVE}" 1 --anonymized "${WORK_DIR}/anon.jsonl"
 if(NOT RUN_ERR MATCHES "unknown flag --shards")
   message(FATAL_ERROR "retired --shards not rejected by serve: ${RUN_ERR}")
 endif()
+# The candidate index is the only structural score source, so --index is
+# retired: an unknown flag on both the CLI and the server.
+run_cli(1 attack --anonymized "${WORK_DIR}/anon.jsonl"
+        --auxiliary "${WORK_DIR}/aux.jsonl" --index --k 5)
+if(NOT RUN_ERR MATCHES "unknown flag --index")
+  message(FATAL_ERROR "retired --index not rejected by the CLI: ${RUN_ERR}")
+endif()
+run_bin("${SERVE}" 1 --anonymized "${WORK_DIR}/anon.jsonl"
+        --auxiliary "${WORK_DIR}/aux.jsonl" --index --k 5)
+if(NOT RUN_ERR MATCHES "unknown flag --index")
+  message(FATAL_ERROR "retired --index not rejected by serve: ${RUN_ERR}")
+endif()
 # Graceful degradation: an unusable index snapshot path must not take the
-# attack down — it warns and falls back to the dense similarity path, and
-# the answers are identical to the exact indexed run above.
+# attack down — it warns and keeps the candidate index in memory, and the
+# answers are identical to the snapshot-backed run above.
 run_cli(0 attack --anonymized "${WORK_DIR}/anon.jsonl"
         --auxiliary "${WORK_DIR}/aux.jsonl" --k 5 --learner centroid
         --index-path "/nonexistent_dir/idx.dhix"
         --out "${WORK_DIR}/pred3.csv")
-if(NOT RUN_ERR MATCHES "falling back to dense")
+if(NOT RUN_ERR MATCHES "continuing with an in-memory candidate index")
   message(FATAL_ERROR "unwritable --index-path fallback warning missing: "
           "${RUN_ERR}")
 endif()
 file(READ "${WORK_DIR}/pred3.csv" degraded_run)
 if(NOT first_run STREQUAL degraded_run)
-  message(FATAL_ERROR "dense-fallback run changed predictions")
+  message(FATAL_ERROR "in-memory-fallback run changed predictions")
 endif()
 
 # --- crash-safe job runner: checkpoint, crash, resume, byte-compare ------

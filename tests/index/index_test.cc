@@ -8,15 +8,19 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "common/fault_injection.h"
 #include "core/de_health.h"
 #include "datagen/forum_generator.h"
 #include "datagen/split.h"
 #include "index/candidate_index.h"
 #include "index/indexed_source.h"
 #include "index/pipeline.h"
+#include "test_util/scratch_path.h"
 
 namespace dehealth {
 namespace {
@@ -176,10 +180,10 @@ TEST(IndexPipelineTest, EndToEndAttackMatchesDensePath) {
   config.refined.learner = LearnerKind::kNearestCentroid;
   config.refined.verification = VerificationScheme::kMeanVerification;
 
-  auto dense = RunDeHealthAttack(s.anonymized, s.auxiliary, config);
+  // DeHealth::Run is the dense reference; RunDeHealthAttack streams from
+  // the candidate index.
+  auto dense = DeHealth(config).Run(s.anonymized, s.auxiliary);
   ASSERT_TRUE(dense.ok()) << dense.status().ToString();
-
-  config.use_index = true;
   auto indexed = RunDeHealthAttack(s.anonymized, s.auxiliary, config);
   ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
 
@@ -192,22 +196,54 @@ TEST(IndexPipelineTest, EndToEndAttackMatchesDensePath) {
   EXPECT_FALSE(dense->similarity.empty());
 }
 
-TEST(IndexPipelineTest, GraphMatchingSelectionRequiresDenseMatrix) {
+TEST(IndexPipelineTest, GraphMatchingSelectionMatchesDenseRun) {
+  // Graph matching needs the whole matrix; selection materializes it from
+  // the index's rows and must answer exactly like the dense reference.
   const Scenario s = MakeScenario(16, 5);
   DeHealthConfig config;
   config.top_k = 2;
   config.selection = CandidateSelection::kGraphMatching;
-  config.use_index = true;
+  config.refined.learner = LearnerKind::kNearestCentroid;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    config.num_threads = threads;
+    auto dense = DeHealth(config).Run(s.anonymized, s.auxiliary);
+    ASSERT_TRUE(dense.ok()) << dense.status().ToString();
+    auto indexed = RunDeHealthAttack(s.anonymized, s.auxiliary, config);
+    ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
+    EXPECT_EQ(indexed->candidates, dense->candidates);
+    EXPECT_EQ(indexed->refined.predictions, dense->refined.predictions);
+  }
+}
+
+TEST(IndexPipelineTest, SaveFaultStillAnswersBitwise) {
+  // A snapshot that cannot be persisted is a cache failing, not the
+  // attack: the run warns, keeps the index in memory, and answers exactly
+  // like the dense reference.
+  const Scenario s = MakeScenario(40, 13);
+  DeHealthConfig config;
+  config.top_k = 4;
+  config.num_threads = 2;
+  config.refined.learner = LearnerKind::kNearestCentroid;
+  auto dense = DeHealth(config).Run(s.anonymized, s.auxiliary);
+  ASSERT_TRUE(dense.ok()) << dense.status().ToString();
+
+  ScratchDir dir;
+  config.index_snapshot_path = dir.File("idx.dhix");
+  ASSERT_TRUE(
+      FaultInjector::Global().Configure("snapshot.save:enospc:1").ok());
   auto result = RunDeHealthAttack(s.anonymized, s.auxiliary, config);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+  FaultInjector::Global().Reset();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_FALSE(std::filesystem::exists(config.index_snapshot_path));
+  EXPECT_EQ(result->candidates, dense->candidates);
+  EXPECT_EQ(result->refined.predictions, dense->refined.predictions);
 }
 
 TEST(IndexPipelineTest, IndexedResultsIdenticalAcrossThreadCounts) {
   const Scenario s = MakeScenario(60, 31);
   DeHealthConfig config;
   config.top_k = 5;
-  config.use_index = true;
   config.refined.learner = LearnerKind::kNearestCentroid;
   config.num_threads = 1;
   auto one = RunDeHealthAttack(s.anonymized, s.auxiliary, config);

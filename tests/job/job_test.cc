@@ -59,7 +59,9 @@ class JobTest : public ::testing::Test {
     ASSERT_TRUE(split.ok());
     anon_ = new UdaGraph(BuildUdaGraph(split->anonymized));
     aux_ = new UdaGraph(BuildUdaGraph(split->auxiliary));
-    auto golden = RunDeHealthAttack(*anon_, *aux_, JobConfig(""));
+    // The dense reference: every checkpointed (index-backed) run must
+    // answer exactly like it.
+    auto golden = DeHealth(JobConfig("")).Run(*anon_, *aux_);
     ASSERT_TRUE(golden.ok()) << golden.status().ToString();
     golden_ = new DeHealthResult(std::move(golden).value());
   }
@@ -181,12 +183,11 @@ TEST_F(JobTest, ConfigFingerprintCoversOnlySemanticFields) {
   DeHealthConfig base = JobConfig("/tmp/a", 7);
   DeHealthConfig operational = base;
   // Results are bitwise-independent of these: an interrupted 8-thread
-  // indexed run may finish single-threaded and dense.
+  // run may finish single-threaded, with or without a snapshot file.
   operational.num_threads = 8;
   operational.job_dir = "/tmp/b";
   operational.job_shard_size = 3;
   operational.index_snapshot_path = "/tmp/x.dhix";
-  operational.use_index = true;  // exact index == dense, bitwise
   EXPECT_EQ(JobConfigFingerprint(base), JobConfigFingerprint(operational));
 
   DeHealthConfig other_k = base;
@@ -288,15 +289,14 @@ TEST_F(JobTest, RawOutParamCarriesUnfilteredCandidates) {
   EXPECT_EQ(state->rejected, filtered_golden->rejected);
 }
 
-TEST_F(JobTest, DegradedIndexFallsBackToDenseBitwise) {
+TEST_F(JobTest, UnusableSnapshotPathStillAnswersBitwise) {
   // An unusable snapshot path must not take the attack down: the score
-  // source degrades to the dense path with identical answers.
+  // source keeps the candidate index in memory, with identical answers.
   DeHealthConfig config = JobConfig("");
-  config.use_index = true;
   config.index_snapshot_path = "/nonexistent_dir/idx.dhix";
   auto bundle = BuildAttackScoreSource(*anon_, *aux_, config);
   ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
-  EXPECT_TRUE((*bundle)->degraded_to_dense);
+  EXPECT_NE((*bundle)->index, nullptr);
   auto result = RunDeHealthAttack(*anon_, *aux_, config);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->candidates, golden_->candidates);

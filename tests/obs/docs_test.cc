@@ -118,8 +118,7 @@ TEST(FlagCatalogTest, AttackBooleanFlagsDeriveFromCatalog) {
   // entries; the set is small and load-bearing enough to pin exactly.
   const std::set<std::string> expected = {
       "allow-epoch-skew", "filter",  "idf",
-      "index",            "ingest",  "no-seal",
-      "require-all-shards"};
+      "ingest",           "no-seal", "require-all-shards"};
   EXPECT_EQ(AttackBooleanFlags(), expected);
 }
 

@@ -94,23 +94,23 @@ TEST_F(ServeEngineTest, SoloAnswersMatchBatchAnswers) {
 }
 
 TEST_F(ServeEngineTest, IndexedEngineMatchesDenseEngine) {
-  DeHealthConfig indexed_config = FastConfig();
-  indexed_config.use_index = true;
-  auto dense = MakeEngine(FastConfig());
-  auto indexed = MakeEngine(indexed_config);
-  ASSERT_TRUE(dense.ok());
+  // The engine streams from the candidate index; DeHealth::Run is the
+  // dense reference it must answer exactly like.
+  auto dense = DeHealth(FastConfig()).Run(*anon_, *aux_);
+  auto indexed = MakeEngine(FastConfig());
+  ASSERT_TRUE(dense.ok()) << dense.status().ToString();
   ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
   const std::vector<int> users = {0, 3, 9, 14};
-  auto dense_top = (*dense)->TopK(users, 0);
   auto indexed_top = (*indexed)->TopK(users, 0);
-  ASSERT_TRUE(dense_top.ok());
-  ASSERT_TRUE(indexed_top.ok());
-  EXPECT_EQ(dense_top->candidates, indexed_top->candidates);
-  auto dense_refined = (*dense)->Refine(users);
   auto indexed_refined = (*indexed)->Refine(users);
-  ASSERT_TRUE(dense_refined.ok());
+  ASSERT_TRUE(indexed_top.ok());
   ASSERT_TRUE(indexed_refined.ok());
-  EXPECT_EQ(dense_refined->predictions, indexed_refined->predictions);
+  for (size_t i = 0; i < users.size(); ++i) {
+    const size_t u = static_cast<size_t>(users[i]);
+    EXPECT_EQ(indexed_top->candidates[i], dense->candidates[u]);
+    EXPECT_EQ(indexed_refined->predictions[i],
+              dense->refined.predictions[u]);
+  }
 }
 
 TEST_F(ServeEngineTest, NonDefaultKMatchesOneShotWithThatK) {
